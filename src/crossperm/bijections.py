@@ -54,6 +54,8 @@ def as_dyck(word: str) -> DyckPath:
     return word
 
 
+# Each public map scans its input once, naming itself in the error; the
+# composites call the unchecked cores (_rsk_two_row, _psi, _theta_recursive).
 def _require_avoids(sigma: Perm, tau: Perm, what: str) -> None:
     if contains_pattern(sigma, tau):
         raise ValueError(f"{what} requires a {''.join(map(str, tau))}-avoiding input")
@@ -105,12 +107,16 @@ class TableauPair:
     def __post_init__(self) -> None:
         n = len(self.p_row1) + len(self.p_row2)
         for row1, row2 in ((self.p_row1, self.p_row2), (self.q_row1, self.q_row2)):
-            assert sorted(row1 + row2) == list(range(1, n + 1))
-            assert all(a < b for a, b in zip(row1, row1[1:]))
-            assert all(a < b for a, b in zip(row2, row2[1:]))
-            assert len(row1) >= len(row2)
-            assert all(row2[c] > row1[c] for c in range(len(row2)))
-        assert len(self.p_row2) == len(self.q_row2)
+            if not (
+                sorted(row1 + row2) == list(range(1, n + 1))
+                and all(a < b for a, b in zip(row1, row1[1:]))
+                and all(a < b for a, b in zip(row2, row2[1:]))
+                and len(row1) >= len(row2)
+                and all(row2[c] > row1[c] for c in range(len(row2)))
+            ):
+                raise ValueError(f"not a standard two-row tableau: {row1}, {row2}")
+        if len(self.p_row2) != len(self.q_row2):
+            raise ValueError("P and Q must have the same shape")
 
     def text(self) -> str:
         """Two lines per tableau, space-separated (second line may be empty)."""
@@ -125,6 +131,10 @@ def rsk_two_row(sigma: Perm) -> TableauPair:
     non-excedance positions; the first rows are the complements in order.
     """
     _require_avoids(sigma, (3, 2, 1), "rsk_two_row")
+    return _rsk_two_row(sigma)
+
+
+def _rsk_two_row(sigma: Perm) -> TableauPair:
     n = len(sigma)
     pairs = matching_set(sigma)
     p2 = tuple(v for v, _ in pairs)
@@ -171,7 +181,12 @@ def psi(sigma: Perm) -> DyckPath:
     >>> psi((1, 2, 3))
     'uuuddd'
     """
-    tp = rsk_two_row(sigma)
+    _require_avoids(sigma, (3, 2, 1), "psi")
+    return _psi(sigma)
+
+
+def _psi(sigma: Perm) -> DyckPath:
+    tp = _rsk_two_row(sigma)
     n = len(sigma)
     row2_p = set(tp.p_row2)
     row2_q = set(tp.q_row2)
@@ -291,7 +306,7 @@ def theta_pipeline(sigma: Perm) -> Perm:
     (7, 8, 5, 3, 4, 6, 2, 1)
     """
     _require_avoids(sigma, (3, 2, 1), "theta_pipeline")
-    return phi_inverse(psi(sigma))
+    return phi_inverse(_psi(sigma))
 
 
 def theta_recursive(sigma: Perm) -> Perm:
@@ -305,6 +320,10 @@ def theta_recursive(sigma: Perm) -> Perm:
     (7, 8, 5, 3, 4, 6, 2, 1)
     """
     _require_avoids(sigma, (3, 2, 1), "theta_recursive")
+    return _theta_recursive(sigma)
+
+
+def _theta_recursive(sigma: Perm) -> Perm:
     result: Perm = ()
     for l in range(1, len(sigma) + 1):
         prefix = reduce_word(sigma[:l])
@@ -340,7 +359,8 @@ def gamma(sigma: Perm) -> Perm:
     Preserves the triple (fp, exc, crs) on 321-avoiders.
     """
     _require_avoids(sigma, (3, 2, 1), "gamma")
-    return theta_recursive(involution(sigma, "rci"))
+    # rci maps 321-avoiders onto 321-avoiders, so the image needs no check
+    return _theta_recursive(involution(sigma, "rci"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Exhaustive generation, distribution queries, and verification suites.
 
-Generation is prefix-pruned backtracking in lexicographic order: a prefix
-that already contains a forbidden pattern is never extended, and for
-length-3 patterns the blocked next letters are precomputed per node in
-O(prefix + n) rather than rescanned per candidate.  Every formula in the
-package is checked here against these enumerations; `verify` runs named
-check suites and returns a machine-readable report.
+Generation walks the prefix tree in lexicographic order and never builds a
+prefix that contains a forbidden pattern.  Each node carries the mask of
+letters already used and, for every pattern, the completion mask of
+`perms.completion_rule` (the letters whose appending would complete an
+occurrence); a node's children are its free letters outside every such
+mask, lowest first.  Every formula in the package is checked here against
+these enumerations; `verify` runs named check suites and returns a
+machine-readable report.
 """
 
 from __future__ import annotations
@@ -26,114 +28,6 @@ from .qseries import MultiPoly, QPoly, Series
 # generation
 
 
-def _ends_occurrence(prefix: Sequence[int], pat: Perm) -> bool:
-    """Does some occurrence of pat end exactly at the last letter?"""
-    m = len(pat)
-    if m == 0:
-        return True
-    if m > len(prefix):
-        return False
-    last = prefix[-1]
-    head = prefix[:-1]
-    if m == 1:
-        return True
-    if m == 2:
-        asc = pat[0] < pat[1]
-        return any((v < last) == asc for v in head)
-    for combo in combinations(range(len(head)), m - 1):
-        values = tuple(head[i] for i in combo) + (last,)
-        ranks = sorted(values)
-        if tuple(ranks.index(v) + 1 for v in values) == pat:
-            return True
-    return False
-
-
-def _blocked_table(head: Sequence[int], pats3: Sequence[Perm], n: int) -> bytearray:
-    """Letters whose appension completes a length-3 pattern occurrence.
-
-    Each pattern reduces to a threshold or an interval union on the new
-    letter, computed from prefix/suffix extrema of the current prefix.
-    """
-    blocked = bytearray(n + 1)
-    length = len(head)
-    if not pats3 or length < 2:
-        return blocked
-    big = n + 1
-    pref_min = [big] * (length + 1)
-    pref_max = [0] * (length + 1)
-    for t in range(length):
-        v = head[t]
-        pref_min[t + 1] = v if v < pref_min[t] else pref_min[t]
-        pref_max[t + 1] = v if v > pref_max[t] else pref_max[t]
-    suf_min = [big] * (length + 1)
-    suf_max = [0] * (length + 1)
-    for t in range(length - 1, -1, -1):
-        v = head[t]
-        suf_min[t] = v if v < suf_min[t + 1] else suf_min[t + 1]
-        suf_max[t] = v if v > suf_max[t + 1] else suf_max[t + 1]
-
-    def mark_above(t: int) -> None:
-        if t and t < n:
-            blocked[t + 1 :] = b"\x01" * (n - t)
-
-    def mark_below(t: int) -> None:
-        if t > 1:
-            blocked[1:t] = b"\x01" * (t - 1)
-
-    def mark_intervals(bounds: Iterable[tuple[int, int]]) -> None:
-        diff = [0] * (n + 2)
-        for lo, hi in bounds:
-            if lo <= hi:
-                diff[lo] += 1
-                diff[hi + 1] -= 1
-        acc = 0
-        for c in range(1, n + 1):
-            acc += diff[c]
-            if acc:
-                blocked[c] = 1
-
-    for pat in pats3:
-        if pat == (1, 2, 3):
-            t = min(
-                (head[j] for j in range(1, length) if pref_min[j] < head[j]),
-                default=0,
-            )
-            if t:
-                mark_above(t)
-        elif pat == (2, 1, 3):
-            t = min(
-                (head[i] for i in range(length - 1) if suf_min[i + 1] < head[i]),
-                default=0,
-            )
-            if t:
-                mark_above(t)
-        elif pat == (2, 3, 1):
-            mark_below(
-                max(
-                    (head[i] for i in range(length - 1) if suf_max[i + 1] > head[i]),
-                    default=0,
-                )
-            )
-        elif pat == (3, 2, 1):
-            mark_below(
-                max(
-                    (head[j] for j in range(1, length) if pref_max[j] > head[j]),
-                    default=0,
-                )
-            )
-        elif pat == (1, 3, 2):
-            mark_intervals(
-                (head[i] + 1, suf_max[i + 1] - 1) for i in range(length - 1)
-            )
-        elif pat == (3, 1, 2):
-            mark_intervals(
-                (suf_min[i + 1] + 1, head[i] - 1) for i in range(length - 1)
-            )
-        else:  # pragma: no cover - pats3 holds reduced length-3 words only
-            raise AssertionError(pat)
-    return blocked
-
-
 def generate(n: int, patterns: Iterable[Sequence[int]] = ()) -> Iterator[Perm]:
     """All of S_n avoiding every pattern, in lexicographic order.
 
@@ -145,33 +39,35 @@ def generate(n: int, patterns: Iterable[Sequence[int]] = ()) -> Iterator[Perm]:
     pats = sorted({as_perm(p) for p in patterns})
     if any(len(p) == 0 for p in pats):
         return iter(())  # the empty pattern occurs in everything
+    if n == 0:
+        return iter([()])
     return _walk(n, tuple(pats))
 
 
 def _walk(n: int, pats: tuple[Perm, ...]) -> Iterator[Perm]:
-    pats3 = tuple(p for p in pats if len(p) == 3)
-    other = tuple(p for p in pats if len(p) != 3)
+    rules = [perms.completion_rule(p) for p in pats]
+    steps = [step for _, step in rules]
+    full = (1 << (n + 1)) - 2
     word: list[int] = []
-    used = bytearray(n + 1)
 
-    def extend() -> Iterator[Perm]:
-        if len(word) == n:
-            yield tuple(word)
+    def extend(used: int, masks: list[int]) -> Iterator[Perm]:
+        t = len(word)
+        free = full & ~used
+        for mask in masks:
+            free &= ~mask
+        if t == n - 1:  # one letter is left; no masks are needed after it
+            if free:
+                yield (*word, free.bit_length() - 1)
             return
-        blocked = _blocked_table(word, pats3, n)
-        for v in range(1, n + 1):
-            if used[v] or blocked[v]:
-                continue
-            word.append(v)
-            if other and any(_ends_occurrence(word, p) for p in other):
-                word.pop()
-                continue
-            used[v] = 1
-            yield from extend()
+        while free:
+            low = free & -free
+            free ^= low
+            word.append(low.bit_length() - 1)
+            children = [step(mask, word, t, used) for step, mask in zip(steps, masks)]
+            yield from extend(used | low, children)
             word.pop()
-            used[v] = 0
 
-    return extend()
+    return extend(0, [start for start, _ in rules])
 
 
 # ---------------------------------------------------------------------------
@@ -293,29 +189,34 @@ def joint_distribution(
 
 
 @cache
+def _crs_tally(n: int, pats: tuple[Perm, ...]) -> Counter:
+    # (position of 1, last value, crs) -> class members, from one walk;
+    # the empty permutation is keyed (0, 0, 0)
+    tally: Counter = Counter()
+    for s in generate(n, pats):
+        tally[s.index(1) + 1 if s else 0, s[-1] if s else 0, perms.crs(s)] += 1
+    return tally
+
+
+def _crs_cells(n: int, pats: tuple[Perm, ...], axis: int | None) -> tuple[QPoly, ...]:
+    # axis None: the whole class; 0: index k-1 holds the sigma(k) = 1 slice;
+    # 1: index k-1 holds the sigma(n) = k slice
+    counters = [Counter() for _ in range(1 if axis is None else n)]
+    for key, count in _crs_tally(n, pats).items():
+        counters[0 if axis is None else key[axis] - 1][key[2]] += count
+    return tuple(QPoly(_counter_coeffs(c)) for c in counters)
+
+
 def _crs_total(n: int, pats: tuple[Perm, ...]) -> QPoly:
-    counter: Counter = Counter()
-    for s in generate(n, pats):
-        counter[perms.crs(s)] += 1
-    return QPoly(_counter_coeffs(counter))
+    return _crs_cells(n, pats, None)[0]
 
 
-@cache
 def _crs_by_first(n: int, pats: tuple[Perm, ...]) -> tuple[QPoly, ...]:
-    # index k-1: distribution over the sigma(k) = 1 slice
-    counters = [Counter() for _ in range(n)]
-    for s in generate(n, pats):
-        counters[s.index(1)][perms.crs(s)] += 1
-    return tuple(QPoly(_counter_coeffs(c)) for c in counters)
+    return _crs_cells(n, pats, 0)
 
 
-@cache
 def _crs_by_last(n: int, pats: tuple[Perm, ...]) -> tuple[QPoly, ...]:
-    # index k-1: distribution over the sigma(n) = k slice
-    counters = [Counter() for _ in range(n)]
-    for s in generate(n, pats):
-        counters[s[-1] - 1][perms.crs(s)] += 1
-    return tuple(QPoly(_counter_coeffs(c)) for c in counters)
+    return _crs_cells(n, pats, 1)
 
 
 def _fmt(sigma: Sequence[int]) -> str:
@@ -986,10 +887,15 @@ def _chk_generate(cap: int):
     for n in range(cap + 1):
         for pats in sample_sets:
             got = list(generate(n, pats))
+            # the reference shares no code with the walk's completion rule
             want = [
-                tuple(p)
+                p
                 for p in sorted(all_perms(range(1, n + 1)))
-                if perms.avoids(tuple(p), pats)
+                if not any(
+                    perms.reduce_word(c) == tau
+                    for tau in pats
+                    for c in combinations(p, len(tau))
+                )
             ]
             if got != want:
                 label = ",".join(_fmt(p) for p in pats) or "(none)"

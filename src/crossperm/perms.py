@@ -26,7 +26,9 @@ own.  `crs(4735126) == 3` and `nes(4735126) == 3` pin this convention down.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
+from functools import cache
+from math import inf
 
 # A permutation in one-line notation; use as_perm() to validate raw input.
 Perm = tuple[int, ...]
@@ -82,62 +84,99 @@ def reduce_word(word: Sequence[int]) -> Perm:
 
 # ---------------------------------------------------------------------------
 # pattern containment
+#
+# One rule serves containment and the generation walk.  Read a word letter
+# by letter and carry its completion mask for tau: bit x is set when
+# appending the letter x would complete an occurrence of tau.  Appending v
+# adds exactly the occurrences of tau[:-1] that end at v, and each one lets
+# tau's last letter take every value strictly between its letters of rank
+# tau[-1]-1 and tau[-1]+1 (an open interval of values).
 
 
-def _contains3(sigma: Perm, tau: Perm) -> bool:
-    # One specialized O(n^2) scan per pattern of length 3, using prefix
-    # minima/maxima so the quadratic loop only ranges over two indices.
-    n = len(sigma)
-    if n < 3:
-        return False
-    pref_min = [0] * (n + 1)
-    pref_max = [0] * (n + 1)
-    run_min = n + 1
-    run_max = 0
-    for p in range(1, n + 1):
-        pref_min[p - 1] = run_min
-        pref_max[p - 1] = run_max
-        run_min = min(run_min, sigma[p - 1])
-        run_max = max(run_max, sigma[p - 1])
-    suf_min = [n + 1] * (n + 2)
-    suf_max = [0] * (n + 2)
-    for p in range(n, 0, -1):
-        suf_min[p] = min(suf_min[p + 1], sigma[p - 1])
-        suf_max[p] = max(suf_max[p + 1], sigma[p - 1])
+@cache
+def completion_rule(
+    tau: Perm,
+) -> tuple[int, Callable[[int, Sequence[int], int, int], int]]:
+    """The letters whose appending to a word completes an occurrence of tau.
 
-    if tau == (1, 2, 3):
-        return any(
-            pref_min[j - 1] < sigma[j - 1] < suf_max[j + 1] for j in range(2, n)
-        )
-    if tau == (3, 2, 1):
-        return any(
-            pref_max[j - 1] > sigma[j - 1] > suf_min[j + 1] for j in range(2, n)
-        )
-    if tau == (1, 3, 2):
-        return any(
-            sigma[k - 1] < sigma[j - 1] and pref_min[j - 1] < sigma[k - 1]
-            for j in range(2, n)
-            for k in range(j + 1, n + 1)
-        )
-    if tau == (2, 1, 3):
-        return any(
-            sigma[j - 1] < sigma[i - 1] < suf_max[j + 1]
-            for i in range(1, n)
-            for j in range(i + 1, n)
-        )
-    if tau == (2, 3, 1):
-        return any(
-            sigma[i - 1] < sigma[j - 1] and suf_min[j + 1] < sigma[i - 1]
-            for i in range(1, n)
-            for j in range(i + 1, n)
-        )
-    if tau == (3, 1, 2):
-        return any(
-            sigma[j - 1] < sigma[k - 1] < pref_max[j - 1]
-            for j in range(2, n)
-            for k in range(j + 1, n + 1)
-        )
-    raise AssertionError(tau)
+    Returns (start, step).  `start` is the completion mask of the empty
+    word; step(mask, word, t, used) takes the mask of word[:t], with `used`
+    holding bit x for each letter x of word[:t], and returns the mask of
+    word[:t+1].  For |tau| = 3 the intervals opened by the occurrences of
+    tau[:-1] ending at the new letter nest, so the step reads only the
+    smallest or the largest earlier letter on the right side of it; for
+    other lengths a DFS lists those occurrences, placing tau's roles one by
+    one inside the value bounds set by the roles already placed.
+
+    >>> start, step = completion_rule((1, 3, 2))
+    >>> word = (2, 5)
+    >>> mask = step(step(start, word, 0, 0), word, 1, 1 << 2)
+    >>> [x for x in range(1, 7) if mask >> x & 1]
+    [3, 4]
+    """
+    tau = as_perm(tau)
+    m = len(tau)
+    if m == 0:
+        raise ValueError("the empty pattern has no completion rule")
+    if m == 1:  # every letter completes tau, from the empty word on
+        return -2, lambda mask, word, t, used: mask
+    # An occurrence of tau[:-1] is held as its m-1 letters in role order,
+    # the new letter last; these roles bound the value of tau's last letter.
+    r = tau[-1]
+    lo_role = tau.index(r - 1) if r > 1 else None
+    hi_role = tau.index(r + 1) if r < m else None
+
+    def opened(occ: Sequence[int]) -> int:
+        # the bits strictly between the letters that bound tau's last letter
+        bits = -1 << (occ[lo_role] + 1) if lo_role is not None else -2
+        return bits & ((1 << occ[hi_role]) - 1) if hi_role is not None else bits
+
+    if m == 3:
+        rising = tau[0] < tau[1]
+
+        def step3(mask: int, word: Sequence[int], t: int, used: int) -> int:
+            v = word[t]
+            side = used & ((1 << v) - 1) if rising else used & (-2 << v)
+            if not side:
+                return mask
+            # the widest interval: the smallest first letter when it is the
+            # lower bound, else the largest
+            u = (side & -side if lo_role == 0 else side).bit_length() - 1
+            return mask | opened((u, v))
+
+        return 0, step3
+
+    head = m - 2  # roles played by letters before the new one
+    # Role i need only respect the placed roles (0..i-1 and the new letter)
+    # nearest to it in rank: those give its tightest value bounds.
+    below: list[int | None] = []
+    above: list[int | None] = []
+    for i in range(head):
+        placed = [*range(i), head]
+        lower = [s for s in placed if tau[s] < tau[i]]
+        upper = [s for s in placed if tau[s] > tau[i]]
+        below.append(max(lower, key=tau.__getitem__, default=None))
+        above.append(min(upper, key=tau.__getitem__, default=None))
+
+    def step(mask: int, word: Sequence[int], t: int, used: int) -> int:
+        occ = [0] * head + [word[t]]
+
+        def place(i: int, start: int) -> None:
+            nonlocal mask
+            if i == head:
+                mask |= opened(occ)
+                return
+            lo = occ[below[i]] if below[i] is not None else 0
+            hi = occ[above[i]] if above[i] is not None else inf
+            for p in range(start, t - head + i + 1):
+                if lo < word[p] < hi:
+                    occ[i] = word[p]
+                    place(i + 1, p + 1)
+
+        place(0, 0)
+        return mask
+
+    return 0, step
 
 
 def contains_pattern(sigma: Perm, tau: Perm) -> bool:
@@ -149,37 +188,16 @@ def contains_pattern(sigma: Perm, tau: Perm) -> bool:
     False
     """
     tau = as_perm(tau)
-    m = len(tau)
-    n = len(sigma)
-    if m == 0:
+    if not tau:
         return True
-    if m > n:
-        return False
-    if m == 1:
-        return True
-    if m == 2:
-        if tau == (1, 2):
-            return any(sigma[i] < sigma[i + 1] for i in range(n - 1))
-        return any(sigma[i] > sigma[i + 1] for i in range(n - 1))
-    if m == 3:
-        return _contains3(sigma, tau)
-
-    # Generic longer patterns: DFS over positions, checking the partial
-    # order-isomorphism invariant role by role.
-    def extend(start: int, chosen: list[int]) -> bool:
-        t = len(chosen)
-        if t == m:
+    mask, step = completion_rule(tau)
+    used = 0
+    for t, v in enumerate(sigma):
+        if mask >> v & 1:
             return True
-        for p in range(start, n - (m - t) + 1):
-            v = sigma[p]
-            if all((chosen[s] < v) == (tau[s] < tau[t]) for s in range(t)):
-                chosen.append(v)
-                if extend(p + 1, chosen):
-                    return True
-                chosen.pop()
-        return False
-
-    return extend(0, [])
+        mask = step(mask, sigma, t, used)
+        used |= 1 << v
+    return False
 
 
 def avoids(sigma: Perm, patterns: Iterable[Perm]) -> bool:

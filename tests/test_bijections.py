@@ -1,10 +1,15 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from crossperm import perms
+import crossperm
+from crossperm import bijections, perms
 from crossperm.bijections import (
     as_dyck,
     f_k,
@@ -109,6 +114,23 @@ def test_rsk_by_bumping_rejects_deep_words():
         rsk_by_bumping((3, 2, 1))
 
 
+def test_tableau_pair_rejects_malformed_rows_under_optimize():
+    # validation must not vanish with the asserts under python -O
+    code = (
+        "from crossperm.bijections import TableauPair\n"
+        "try:\n"
+        "    TableauPair((2, 1), (), (1, 2), ())\n"
+        "except ValueError:\n"
+        "    print('rejected')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(crossperm.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout == "rejected\n"
+
+
 # ---------------------------------------------------------------------------
 # psi, phi and the crossing-preserving composite
 
@@ -196,6 +218,20 @@ def test_gamma_preserves_fp_exc_crs_triple():
             assert (perms.fp(image), perms.exc(image), perms.crs(image)) == want
             images.add(image)
         assert images == set(avoiders(n, (1, 3, 2)))
+
+
+@pytest.mark.parametrize("name", ["theta_pipeline", "gamma"])
+def test_composite_maps_scan_once_and_name_themselves(name, monkeypatch):
+    fn = getattr(bijections, name)
+    with pytest.raises(ValueError, match=f"^{name} requires a 321-avoiding input$"):
+        fn((3, 2, 1))
+    scans = []
+    real = bijections.contains_pattern
+    monkeypatch.setattr(
+        bijections, "contains_pattern", lambda s, t: scans.append(t) or real(s, t)
+    )
+    fn((2, 4, 1, 3, 5, 8, 6, 7))
+    assert scans == [(3, 2, 1)]
 
 
 def test_f_k_golden():

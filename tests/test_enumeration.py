@@ -1,9 +1,11 @@
+import functools
 import itertools
+from collections import Counter
 from math import comb
 
 import pytest
 
-from crossperm import perms
+from crossperm import enumeration, perms
 from crossperm.enumeration import (
     DistributionQuery,
     distribution,
@@ -15,12 +17,22 @@ from crossperm.enumeration import (
 from crossperm.qseries import QPoly, catalan_qp, catalan_crs
 
 
+# memoized: the exhaustive tests reduce the same few hundred short words
+_reduce = functools.cache(perms.reduce_word)
+
+
+def naive_patterns(sigma, m):
+    # every length-m pattern of sigma, by reducing each subsequence; shares
+    # no code with the completion rule behind generate and avoids
+    return {_reduce(c) for c in itertools.combinations(sigma, m)}
+
+
 def reference_class(n, patterns):
-    out = []
-    for s in itertools.permutations(range(1, n + 1)):
-        if all(not perms.contains_pattern(s, p) for p in patterns):
-            out.append(s)
-    return out
+    return [
+        s
+        for s in itertools.permutations(range(1, n + 1))
+        if not any(p in naive_patterns(s, len(p)) for p in patterns)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -42,6 +54,23 @@ def test_generate_matches_reference(patterns):
     for n in range(7):
         got = list(generate(n, patterns))
         assert got == reference_class(n, patterns), (n, patterns)
+
+
+def test_generate_matches_naive_reference_exhaustively():
+    # all 64 subsets of S_3 up to n = 8, every length-4 pattern up to n = 7
+    singles3 = list(itertools.permutations((1, 2, 3)))
+    for n in range(9):
+        sigmas = list(itertools.permutations(range(1, n + 1)))
+        found = {s: naive_patterns(s, 3) for s in sigmas}
+        for r in range(len(singles3) + 1):
+            for patterns in itertools.combinations(singles3, r):
+                want = [s for s in sigmas if found[s].isdisjoint(patterns)]
+                assert list(generate(n, patterns)) == want, (n, patterns)
+        if n <= 7:
+            found = {s: naive_patterns(s, 4) for s in sigmas}
+            for p in itertools.permutations((1, 2, 3, 4)):
+                want = [s for s in sigmas if p not in found[s]]
+                assert list(generate(n, (p,))) == want, (n, p)
 
 
 def test_generate_is_lexicographic_and_duplicate_free():
@@ -187,6 +216,22 @@ def test_verify_timings_flag():
     without = verify("crs-decomposition", n_max=4)
     assert "millis" in with_timings["checks"][0]
     assert "millis" not in without["checks"][0]
+
+
+def test_check_suites_walk_each_class_once(monkeypatch):
+    # the crs total and both refinements are marginals of one cached tally
+    walks = Counter()
+    real = enumeration.generate
+
+    def counting(n, patterns=()):
+        walks[n, tuple(patterns)] += 1
+        return real(n, patterns)
+
+    monkeypatch.setattr(enumeration, "generate", counting)
+    enumeration._crs_tally.cache_clear()
+    report = verify("refinement-partition", n_max=5)
+    assert report["checks"][0]["status"] == "pass"
+    assert len(walks) == 15 and set(walks.values()) == {1}
 
 
 def test_verify_unknown_suite():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -71,14 +72,16 @@ def test_contains_pattern_golden():
 
 
 def test_contains_matches_brute_force_on_s5():
-    # reference: scan all index triples
-    for sigma in itertools.permutations(range(1, 6)):
-        for tau in itertools.permutations(range(1, 4)):
-            expected = any(
-                reduce_word(picked) == tau
-                for picked in itertools.combinations(sigma, 3)
-            )
-            assert contains_pattern(sigma, tau) == expected, (sigma, tau)
+    # reference: reduce every subsequence of tau's length; every tau of
+    # length 1-4 against every sigma of size at most 7
+    reduce = functools.cache(reduce_word)  # the same short words recur
+    for n in range(8):
+        for sigma in itertools.permutations(range(1, n + 1)):
+            for m in range(1, 5):
+                present = {reduce(c) for c in itertools.combinations(sigma, m)}
+                for tau in itertools.permutations(range(1, m + 1)):
+                    found = contains_pattern(sigma, tau)
+                    assert found == (tau in present), (sigma, tau)
 
 
 def test_avoids():
