@@ -17,7 +17,7 @@ import sys
 from collections.abc import Sequence
 
 from . import bijections, enumeration, perms, qseries
-from .perms import Perm
+from .perms import Perm, fmt_perm
 
 ENV_NMAX = "CROSSPERM_NMAX"
 
@@ -66,14 +66,6 @@ def parse_patterns(text: str) -> tuple[Perm, ...]:
         except ValueError:
             raise ParseError(f"not a reduced pattern word: {word!r}") from None
     return tuple(out)
-
-
-def fmt_perm(sigma: Perm) -> str:
-    if not sigma:
-        return "-"
-    if all(v <= 9 for v in sigma):
-        return "".join(str(v) for v in sigma)
-    return " ".join(str(v) for v in sigma)
 
 
 def _fmt_pairs(pairs: Sequence[tuple[int, int]]) -> str:
@@ -273,6 +265,8 @@ def _cmd_check(args) -> int:
             n_max = int(raw)
         except ValueError:
             raise ParseError(f"{ENV_NMAX} must be an integer, got {raw!r}") from None
+    if n_max is not None and n_max < 0:
+        raise ParseError(f"negative cap: {n_max}")
     report = enumeration.verify(args.suite, n_max, include_timings=args.timings)
     failures = sum(1 for c in report["checks"] if c["status"] != "pass")
     if args.json:

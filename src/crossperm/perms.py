@@ -82,6 +82,19 @@ def reduce_word(word: Sequence[int]) -> Perm:
     return tuple(rank[v] for v in word)
 
 
+def fmt_perm(sigma: Sequence[int]) -> str:
+    """Compact digits while every value is below 10, else spaced; '-' if empty.
+
+    >>> fmt_perm((10, 2, 1)), fmt_perm((3, 1, 2)), fmt_perm(())
+    ('10 2 1', '312', '-')
+    """
+    if not sigma:
+        return "-"
+    if all(v <= 9 for v in sigma):
+        return "".join(str(v) for v in sigma)
+    return " ".join(str(v) for v in sigma)
+
+
 # ---------------------------------------------------------------------------
 # pattern containment
 #

@@ -241,6 +241,15 @@ def test_check_unknown_suite_is_parse_error(capsys):
     assert cli.run(["check", "frobnicate"]) == 2
 
 
+@pytest.mark.parametrize("suite", ["crs-decomposition", "cf-catalan", "gf-relations"])
+def test_check_negative_cap_is_parse_error(capsys, monkeypatch, suite):
+    assert cli.run(["check", suite, "--nmax", "-1"]) == 2
+    assert "negative cap: -1" in capsys.readouterr().err
+    monkeypatch.setenv(cli.ENV_NMAX, "-2")
+    assert cli.run(["check", suite]) == 2
+    assert "negative cap: -2" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # diagram
 

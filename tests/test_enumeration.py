@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 from collections import Counter
@@ -5,7 +6,7 @@ from math import comb
 
 import pytest
 
-from crossperm import enumeration, perms
+from crossperm import bijections, enumeration, perms
 from crossperm.enumeration import (
     DistributionQuery,
     distribution,
@@ -14,7 +15,7 @@ from crossperm.enumeration import (
     suite_names,
     verify,
 )
-from crossperm.qseries import QPoly, catalan_qp, catalan_crs
+from crossperm.qseries import MultiPoly, QPoly, catalan_qp, catalan_crs
 
 
 # memoized: the exhaustive tests reduce the same few hundred short words
@@ -184,6 +185,53 @@ def test_joint_distribution_validation():
         joint_distribution(3, (), ())
     with pytest.raises(ValueError):
         joint_distribution(3, (), ("crs",), variables=("x", "y"))
+    with pytest.raises(ValueError, match="^unknown statistic: 'bogus'$"):
+        joint_distribution(3, (), ("bogus",))
+    with pytest.raises(ValueError, match="^unknown statistic: 'bogus'$"):
+        joint_distribution(3, (), ("crs", "bogus"), variables=("x", "y"))
+
+
+AGGREGATOR_CLASSES = [(), *[(p,) for p in itertools.permutations((1, 2, 3))],
+                      ((2, 1, 3), (1, 3, 2))]
+
+
+def refinement_cases(n):
+    # every refinement with every valid k and j
+    yield "none", None, None
+    for k in range(1, n + 1):
+        yield "one-at", k, None
+        yield "last", k, None
+        yield "tail", k, None
+        for j in range(1, n + 1):
+            yield "both", k, j
+
+
+def test_aggregator_matches_naive_reference():
+    # the reference counts over generate filtered by admits, sharing nothing
+    # with the cached tally behind distribution and joint_distribution
+    names = list(enumeration.STATISTICS)
+    for n in range(7):
+        for patterns in AGGREGATOR_CLASSES:
+            members = list(generate(n, patterns))
+            values = {s: {st: enumeration.STATISTICS[st](s) for st in names}
+                      for s in members}
+            for refinement, k, j in refinement_cases(n):
+                query = DistributionQuery(n, patterns, refinement=refinement, k=k, j=j)
+                kept = [s for s in members if query.admits(s)]
+                for st in names:
+                    want = Counter(values[s][st] for s in kept)
+                    top = max(want, default=-1)
+                    result = distribution(dataclasses.replace(query, statistic=st))
+                    assert result.polynomial == QPoly(
+                        want[v] for v in range(top + 1)
+                    ), (n, patterns, refinement, k, j, st)
+                    assert result.count == len(kept)
+            for r in (1, 2, 3):
+                for stats in itertools.combinations(names, r):
+                    want = Counter(tuple(values[s][st] for st in stats) for s in members)
+                    got = joint_distribution(n, patterns, stats)
+                    variables = {1: ("q",), 2: ("q", "p"), 3: ("x", "q", "p")}[r]
+                    assert got == MultiPoly(variables, dict(want)), (n, patterns, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +266,59 @@ def test_verify_timings_flag():
     assert "millis" not in without["checks"][0]
 
 
+def _identity_of_same_size(sigma):
+    return perms.identity(len(sigma))
+
+
+@pytest.mark.parametrize(
+    "check, module, attr, bad_args, corrupt, n, counterexample",
+    [
+        ("crs-decomposition", perms, "nes", ((2, 3, 1),), lambda v: v + 1,
+         3, "n=3 sigma=231"),
+        ("inverse-crossings", perms, "inverse", ((3, 4, 1, 2),),
+         _identity_of_same_size, 4, "n=4 sigma=3412"),
+        ("append-one", perms, "insert", ((2, 3, 1), 4, 1),
+         _identity_of_same_size, 3, "n=3 sigma=231"),
+        ("insert-one", perms, "insert", ((1, 3, 2), 2, 1), lambda v: v[::-1],
+         3, "n=3 sigma=132 k=2"),
+        ("insert-front", perms, "insert", ((3, 4, 1, 2), 1, 1),
+         _identity_of_same_size, 4, "n=4 sigma=3412 j=1"),
+        ("tail-fixed-insert", perms, "insert", ((3, 4, 2, 1), 1, 2),
+         _identity_of_same_size, 4, "n=4 sigma=3421 k=1"),
+        ("theta-preserves-crs", bijections, "theta", ((1, 3, 2),), lambda v: v[::-1],
+         3, "n=3 sigma=132"),
+        ("theta-preserves-crs", bijections, "theta", ((1, 2, 3),), lambda v: (1, 3, 2),
+         3, "n=3 sigma=123 (fp/exc)"),
+        ("theta-routes-agree", bijections, "theta_pipeline", ((2, 1, 3),),
+         lambda v: v[::-1], 3, "n=3 sigma=213"),
+        ("gamma-preserves", bijections, "gamma", ((3, 1, 2),), lambda v: v[::-1],
+         3, "n=3 sigma=312"),
+        ("g-laws", bijections, "g_k", ((2, 1, 3),), lambda v: v[::-1],
+         3, "n=3 sigma=213"),
+    ],
+    ids=["crs-decomposition", "inverse-crossings", "append-one", "insert-one-k",
+         "insert-front-j", "tail-fixed-insert-k", "theta-preserves-crs",
+         "theta-preserves-crs-fp-exc", "theta-routes-agree", "gamma-preserves",
+         "g-laws"],
+)
+def test_counterexample_strings_are_pinned(
+    monkeypatch, check, module, attr, bad_args, corrupt, n, counterexample
+):
+    # one primitive goes wrong on a single input; the report must name the
+    # smallest failing n, the member and the failing case exactly as before
+    real = getattr(module, attr)
+
+    def wrong(*args):
+        out = real(*args)
+        return corrupt(out) if args == bad_args else out
+
+    monkeypatch.setattr(module, attr, wrong)
+    entry = verify(check, n_max=5)["checks"][0]
+    assert entry == {
+        "name": check, "n": n, "status": "fail", "counterexample": counterexample
+    }
+
+
 def test_check_suites_walk_each_class_once(monkeypatch):
     # the crs total and both refinements are marginals of one cached tally
     walks = Counter()
@@ -228,12 +329,36 @@ def test_check_suites_walk_each_class_once(monkeypatch):
         return real(n, patterns)
 
     monkeypatch.setattr(enumeration, "generate", counting)
-    enumeration._crs_tally.cache_clear()
+    enumeration._tally.cache_clear()
     report = verify("refinement-partition", n_max=5)
     assert report["checks"][0]["status"] == "pass"
     assert len(walks) == 15 and set(walks.values()) == {1}
 
 
+def test_joint_distribution_walks_once_whatever_the_variable_names(monkeypatch):
+    walks = Counter()
+    real = enumeration.generate
+
+    def counting(n, patterns=()):
+        walks[n, tuple(patterns)] += 1
+        return real(n, patterns)
+
+    monkeypatch.setattr(enumeration, "generate", counting)
+    enumeration._tally.cache_clear()
+    first = joint_distribution(5, (), ("crs", "nes"), variables=("q", "p"))
+    second = joint_distribution(5, (), ("crs", "nes"), variables=("x", "y"))
+    assert walks == {(5, ()): 1}
+    assert first.variables == ("q", "p") and second.variables == ("x", "y")
+    assert first.evaluate(q=1, p=1) == second.evaluate(x=1, y=1) == 120
+
+
 def test_verify_unknown_suite():
     with pytest.raises(ValueError):
         verify("no-such-suite")
+
+
+def test_verify_rejects_a_negative_cap():
+    with pytest.raises(ValueError, match="negative cap: -1"):
+        verify("crs-decomposition", n_max=-1)
+    with pytest.raises(ValueError, match="negative cap: -1"):
+        verify("all", n_max=-1)
