@@ -24,7 +24,7 @@ from .perms import (
     Perm,
     as_perm,
     contains_pattern,
-    identity,
+    fmt_perm,
     insert,
     inverse,
     involution,
@@ -58,7 +58,7 @@ def as_dyck(word: str) -> DyckPath:
 # composites call the unchecked cores (_rsk_two_row, _psi, _theta_recursive).
 def _require_avoids(sigma: Perm, tau: Perm, what: str) -> None:
     if contains_pattern(sigma, tau):
-        raise ValueError(f"{what} requires a {''.join(map(str, tau))}-avoiding input")
+        raise ValueError(f"{what} requires a {fmt_perm(tau)}-avoiding input")
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,21 @@ letters already used and, for every pattern, the completion mask of
 occurrence); a node's children are its free letters outside every such
 mask, lowest first.
 
-Everything else folds S_n(T) in one of two ways.  The tally (`_tally`)
-counts the members that a refinement admits by a tuple of column values,
-once per (class, columns, refinement) in a process; `distribution`,
+Aggregation is one fold over S_n(T).  The tally (`_tally`) counts the
+members that a refinement admits by a tuple of column values, once per
+(class, columns, refinement) in a process; `distribution`,
 `joint_distribution` and the crossing distributions of the check suites
-are all read from it.  The scan (the checks registered with `_law`) tests
-a law on every member for n = 0, 1, ... and stops at the first member that
-breaks it; `verify` runs these checks beside the others, which compare
-whole distributions or pairs of members.
+are all read from it.
+
+A check is one decorated function that names its suite, its name, its
+default cap and its first n.  One driver (`_each_n`) scans n = start..cap
+upward, stops at the first n whose body returns a note, and reports
+"n={n}{note}", so every counterexample is minimal in n and says where it
+came from.  A law on members (`_law`) is that driver over S_n(T), failing
+at the first member that breaks the law.  The four checks that compare
+whole rows or series at the cap register their fn(cap) raw (`_check`).
+The suites fill themselves in registration order, and `all` runs them one
+after another.
 """
 
 from __future__ import annotations
@@ -24,12 +31,12 @@ import time
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from functools import cache
-from itertools import combinations, tee
+from itertools import combinations, permutations, tee
 from math import comb, inf
 from types import MappingProxyType
 
 from . import bijections, perms, qseries
-from .perms import Perm, as_perm, fmt_perm
+from .perms import Perm, as_perm, fmt_patterns, fmt_perm
 from .qseries import MultiPoly, QPoly, Series
 
 # ---------------------------------------------------------------------------
@@ -244,10 +251,6 @@ def _crs_by_last(n: int, pats: tuple[Perm, ...]) -> tuple[QPoly, ...]:
     return _crs_cells(n, pats, 1)
 
 
-def _label(pats: Sequence[Perm]) -> str:
-    return ",".join(map(fmt_perm, pats)) or "(none)"
-
-
 _PATTERNS3 = ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1))
 _AVOID321 = ((3, 2, 1),)
 
@@ -259,35 +262,64 @@ def _pat_key(*pats: Perm) -> tuple[Perm, ...]:
 # ---------------------------------------------------------------------------
 # the check registry
 
-_CHECKS: dict[str, tuple[object, int]] = {}
+# a check maps its cap to (the n it reached, the counterexample or None)
+_Check = Callable[[int], tuple[int, str | None]]
+
+_CHECKS: dict[str, tuple[_Check, int]] = {}
+_SUITES: dict[str, list[str]] = {}
 
 
-def _check(name: str, default_nmax: int):
-    def register(fn):
+def _check(suite: str, name: str, default_nmax: int):
+    """Register fn(cap) as a check of the suite, in registration order."""
+
+    def register(fn: _Check) -> _Check:
         _CHECKS[name] = (fn, default_nmax)
+        _SUITES.setdefault(suite, []).append(name)
         return fn
 
     return register
 
 
-def _law(name: str, default_nmax: int, pats: tuple[Perm, ...] = (), start: int = 0):
+def _each_n(suite: str, name: str, default_nmax: int, start: int = 0):
+    """Register at(n) as a check that scans n = start..cap upward.
+
+    at(n) returns None when n passes, else a note that follows "n={n}" in
+    the counterexample (" sigma=21", ": total mismatch", or "").  The scan
+    stops at the first failing n, so a counterexample is minimal in n.
+    """
+
+    def register(at: Callable[[int], str | None]):
+        def scan(cap: int) -> tuple[int, str | None]:
+            for n in range(start, cap + 1):
+                note = at(n)
+                if note is not None:
+                    return n, f"n={n}{note}"
+            return cap, None
+
+        _check(suite, name, default_nmax)(scan)
+        return at
+
+    return register
+
+
+def _law(suite: str, name: str, default_nmax: int, pats: tuple[Perm, ...] = (),
+         start: int = 0):
     """Register a law on the members of S_n(pats) as a check.
 
-    The check scans n = start..cap and reports the first member that breaks
-    the law.  law(sigma) is True when sigma satisfies it, else False or a
-    note naming the failing case (" k=2"), which ends the counterexample.
+    The check reports the first member that breaks the law.  law(sigma) is
+    True when sigma satisfies it, else False or a note naming the failing
+    case (" k=2"), which ends the counterexample.
     """
 
     def register(law: Callable[[Perm], bool | str]):
-        def first_failure(cap: int):
-            for n in range(start, cap + 1):
-                for s in generate(n, pats):
-                    verdict = law(s)
-                    if verdict is not True:
-                        return n, f"n={n} sigma={fmt_perm(s)}{verdict or ''}"
-            return cap, None
+        def at(n: int) -> str | None:
+            for s in generate(n, pats):
+                verdict = law(s)
+                if verdict is not True:
+                    return f" sigma={fmt_perm(s)}{verdict or ''}"
+            return None
 
-        _check(name, default_nmax)(first_failure)
+        _each_n(suite, name, default_nmax, start)(at)
         return law
 
     return register
@@ -302,27 +334,27 @@ def _crs_ut_lt(s: Perm) -> int:
 # ---- arc statistic identities
 
 
-@_law("crs-decomposition", 8)
+@_law("perm-lemmas", "crs-decomposition", 8)
 def _crs_decomposition(s: Perm) -> bool:
     return perms.crs(s) == perms.inv(s) - perms.exc(s) - 2 * perms.nes(s)
 
 
-@_law("crs-star-split", 7)
+@_law("perm-lemmas", "crs-star-split", 7)
 def _crs_star_split(s: Perm) -> bool:
     return perms.crs(s) == perms.crs_star(s) + perms.lt_stat(s)
 
 
-@_law("inverse-crossings", 7)
+@_law("perm-lemmas", "inverse-crossings", 7)
 def _inverse_crossings(s: Perm) -> bool:
     return perms.crs(perms.inverse(s)) == _crs_ut_lt(s)
 
 
-@_law("append-one", 7)
+@_law("perm-lemmas", "append-one", 7)
 def _append_one(s: Perm) -> bool:
     return perms.crs(perms.insert(s, len(s) + 1, 1)) == _crs_ut_lt(s)
 
 
-@_law("insert-one", 7, start=1)
+@_law("perm-lemmas", "insert-one", 7, start=1)
 def _insert_one(s: Perm) -> bool | str:
     base = perms.crs(s)
     for k in range(1, len(s) + 1):
@@ -333,33 +365,32 @@ def _insert_one(s: Perm) -> bool | str:
     return True
 
 
-@_law("reverse-complement", 7)
+@_law("perm-lemmas", "reverse-complement", 7)
 def _reverse_complement(s: Perm) -> bool:
     return perms.crs(perms.involution(s, "rc")) == _crs_ut_lt(s)
 
 
-@_check("insert-letter", 7)
-def _chk_insert_letter(cap: int):
+@_each_n("perm-lemmas", "insert-letter", 7, start=1)
+def _chk_insert_letter(n: int) -> str | None:
     # general insertion sigma^(a,b), window counts A1..A4 over b <= i < a
-    for n in range(1, cap + 1):
-        for s in generate(n - 1):
-            sinv = perms.inverse(s)
-            base = perms.crs(s)
-            for a in range(1, n + 1):
-                for b in range(1, a + 1):
-                    a1 = sum(1 for i in range(b, a) if s[i - 1] < b)
-                    # at sinv[i-1] == a the displaced letter lands just past
-                    # the new one and still crosses it, hence >= not >
-                    a2 = sum(1 for i in range(b, a) if sinv[i - 1] >= a)
-                    a3 = sum(1 for i in range(b, a) if sinv[i - 1] < i < s[i - 1])
-                    a4 = sum(1 for i in range(b, a) if s[i - 1] < i < sinv[i - 1])
-                    want = base + a1 + a2 + a3 - a4
-                    if perms.crs(perms.insert(s, a, b)) != want:
-                        return n, f"n={n} sigma={fmt_perm(s)} a={a} b={b}"
-    return cap, None
+    for s in generate(n - 1):
+        sinv = perms.inverse(s)
+        base = perms.crs(s)
+        for a in range(1, n + 1):
+            for b in range(1, a + 1):
+                a1 = sum(1 for i in range(b, a) if s[i - 1] < b)
+                # at sinv[i-1] == a the displaced letter lands just past
+                # the new one and still crosses it, hence >= not >
+                a2 = sum(1 for i in range(b, a) if sinv[i - 1] >= a)
+                a3 = sum(1 for i in range(b, a) if sinv[i - 1] < i < s[i - 1])
+                a4 = sum(1 for i in range(b, a) if s[i - 1] < i < sinv[i - 1])
+                want = base + a1 + a2 + a3 - a4
+                if perms.crs(perms.insert(s, a, b)) != want:
+                    return f" sigma={fmt_perm(s)} a={a} b={b}"
+    return None
 
 
-@_law("insert-front", 7)
+@_law("perm-lemmas", "insert-front", 7)
 def _insert_front(s: Perm) -> bool | str:
     base = perms.crs(s)
     for j in range(1, len(s) + 2):
@@ -370,7 +401,7 @@ def _insert_front(s: Perm) -> bool | str:
     return True
 
 
-@_law("tail-fixed-insert", 7, start=1)
+@_law("perm-lemmas", "tail-fixed-insert", 7, start=1)
 def _tail_fixed_insert(s: Perm) -> bool | str:
     # sigma with sigma(n+1-i) = i for i <= k: prepending k+1 adds min(k-1, n-k)
     n = len(s)
@@ -384,69 +415,64 @@ def _tail_fixed_insert(s: Perm) -> bool | str:
     return True
 
 
-@_check("sum-ops", 7)
-def _chk_sum_ops(cap: int):
-    for n in range(cap + 1):
-        for a in range(n + 1):
-            for s1 in generate(a):
-                for s2 in generate(n - a):
-                    s = perms.direct_sum(s1, s2)
-                    if perms.crs(s) != perms.crs(s1) + perms.crs(s2):
-                        return n, f"n={n} sigma={fmt_perm(s1)}+{fmt_perm(s2)}"
-        for s in generate(n):
-            parts = perms.sum_decompose(s)
-            back: Perm = ()
-            for p in parts:
-                back = perms.direct_sum(back, p)
-            if back != s:
-                return n, f"n={n} sigma={fmt_perm(s)}"
-    return cap, None
+@_each_n("perm-lemmas", "sum-ops", 7)
+def _chk_sum_ops(n: int) -> str | None:
+    for a in range(n + 1):
+        for s1 in generate(a):
+            for s2 in generate(n - a):
+                s = perms.direct_sum(s1, s2)
+                if perms.crs(s) != perms.crs(s1) + perms.crs(s2):
+                    return f" sigma={fmt_perm(s1)}+{fmt_perm(s2)}"
+    for s in generate(n):
+        parts = perms.sum_decompose(s)
+        back: Perm = ()
+        for p in parts:
+            back = perms.direct_sum(back, p)
+        if back != s:
+            return f" sigma={fmt_perm(s)}"
+    return None
 
 
-@_check("product-ops", 7)
-def _chk_product_ops(cap: int):
+@_each_n("perm-lemmas", "product-ops", 7)
+def _chk_product_ops(n: int) -> str | None:
     pat132 = ((1, 3, 2),)
-    for n in range(cap + 1):
-        for a in range(1, n):
-            for s1 in generate(a, pat132):
-                for s2 in generate(n - a, pat132):
-                    s = perms.direct_product(s1, s2)
-                    if perms.crs(s) != perms.crs(s1) + perms.crs(s2):
-                        return n, f"n={n} alpha={fmt_perm(s1)} beta={fmt_perm(s2)}"
-        for s in generate(n, pat132):
-            parts = perms.product_decompose(s)
-            back: Perm = parts[-1] if parts else ()
-            for p in reversed(parts[:-1]):
-                back = perms.direct_product(p, back)
-            if back != s:
-                return n, f"n={n} sigma={fmt_perm(s)}"
-    return cap, None
+    for a in range(1, n):
+        for s1 in generate(a, pat132):
+            for s2 in generate(n - a, pat132):
+                s = perms.direct_product(s1, s2)
+                if perms.crs(s) != perms.crs(s1) + perms.crs(s2):
+                    return f" alpha={fmt_perm(s1)} beta={fmt_perm(s2)}"
+    for s in generate(n, pat132):
+        parts = perms.product_decompose(s)
+        back: Perm = parts[-1] if parts else ()
+        for p in reversed(parts[:-1]):
+            back = perms.direct_product(p, back)
+        if back != s:
+            return f" sigma={fmt_perm(s)}"
+    return None
 
 
-@_check("sum-product-exchange", 8)
-def _chk_exchange(cap: int):
-    for n in range(2, cap + 1):
-        for a in range(1, n):
-            for s1 in generate(a, _AVOID321):
-                for s2 in generate(n - a, _AVOID321):
-                    lhs = bijections.theta(perms.direct_sum(s1, s2))
-                    rhs = perms.direct_product(
-                        bijections.theta(s2), bijections.theta(s1)
-                    )
-                    if lhs != rhs:
-                        return n, f"n={n} sigma1={fmt_perm(s1)} sigma2={fmt_perm(s2)}"
-    return cap, None
+@_each_n("perm-lemmas", "sum-product-exchange", 8, start=2)
+def _chk_exchange(n: int) -> str | None:
+    for a in range(1, n):
+        for s1 in generate(a, _AVOID321):
+            for s2 in generate(n - a, _AVOID321):
+                lhs = bijections.theta(perms.direct_sum(s1, s2))
+                rhs = perms.direct_product(bijections.theta(s2), bijections.theta(s1))
+                if lhs != rhs:
+                    return f" sigma1={fmt_perm(s1)} sigma2={fmt_perm(s2)}"
+    return None
 
 
 # ---- bijection checks
 
 
-@_law("theta-routes-agree", 9, _AVOID321)
+@_law("bijections", "theta-routes-agree", 9, _AVOID321)
 def _theta_routes_agree(s: Perm) -> bool:
     return bijections.theta_recursive(s) == bijections.theta_pipeline(s)
 
 
-@_law("theta-preserves-crs", 10, _AVOID321)
+@_law("bijections", "theta-preserves-crs", 10, _AVOID321)
 def _theta_preserves_crs(s: Perm) -> bool | str:
     image = bijections.theta(s)
     if perms.crs(image) != perms.crs(s):
@@ -456,30 +482,29 @@ def _theta_preserves_crs(s: Perm) -> bool | str:
     return True
 
 
-@_check("theta-inverse-roundtrip", 8)
-def _chk_theta_inverse(cap: int):
-    for n in range(cap + 1):
-        for s in generate(n, _AVOID321):
-            if bijections.theta_inverse(bijections.theta(s)) != s:
-                return n, f"n={n} sigma={fmt_perm(s)}"
-        for a in generate(n, ((1, 3, 2),)):
-            if bijections.theta(bijections.theta_inverse(a)) != a:
-                return n, f"n={n} alpha={fmt_perm(a)}"
-    return cap, None
+@_each_n("bijections", "theta-inverse-roundtrip", 8)
+def _chk_theta_inverse(n: int) -> str | None:
+    for s in generate(n, _AVOID321):
+        if bijections.theta_inverse(bijections.theta(s)) != s:
+            return f" sigma={fmt_perm(s)}"
+    for a in generate(n, ((1, 3, 2),)):
+        if bijections.theta(bijections.theta_inverse(a)) != a:
+            return f" alpha={fmt_perm(a)}"
+    return None
 
 
-@_law("gamma-preserves", 8, _AVOID321)
+@_law("bijections", "gamma-preserves", 8, _AVOID321)
 def _gamma_preserves(s: Perm) -> bool:
     image = bijections.gamma(s)
     return all(f(image) == f(s) for f in (perms.fp, perms.exc, perms.crs))
 
 
-@_law("rsk-routes-agree", 8, _AVOID321)
+@_law("bijections", "rsk-routes-agree", 8, _AVOID321)
 def _rsk_routes_agree(s: Perm) -> bool:
     return bijections.rsk_two_row(s) == bijections.rsk_by_bumping(s)
 
 
-@_law("rsk-duality", 7, _AVOID321)
+@_law("bijections", "rsk-duality", 7, _AVOID321)
 def _rsk_duality(s: Perm) -> bool:
     # inverting sigma swaps the P and Q tableaux
     tp = bijections.rsk_two_row(s)
@@ -489,16 +514,15 @@ def _rsk_duality(s: Perm) -> bool:
     )
 
 
-@_check("psi-injective", 6)
-def _chk_psi_injective(cap: int):
-    for n in range(cap + 1):
-        images = {bijections.psi(s) for s in generate(n, _AVOID321)}
-        if len(images) != comb(2 * n, n) // (n + 1):
-            return n, f"n={n}: {len(images)} distinct paths"
-    return cap, None
+@_each_n("bijections", "psi-injective", 6)
+def _chk_psi_injective(n: int) -> str | None:
+    images = {bijections.psi(s) for s in generate(n, _AVOID321)}
+    if len(images) != comb(2 * n, n) // (n + 1):
+        return f": {len(images)} distinct paths"
+    return None
 
 
-@_law("dyck-balance", 8, _AVOID321)
+@_law("bijections", "dyck-balance", 8, _AVOID321)
 def _dyck_balance(s: Perm) -> bool:
     # down-steps in the left half match up-steps in the right half
     d = bijections.psi(s)
@@ -506,7 +530,7 @@ def _dyck_balance(s: Perm) -> bool:
     return d[: len(s)].count("d") == d[len(s) :].count("u")
 
 
-@_law("matching-columns", 8, _AVOID321)
+@_law("bijections", "matching-columns", 8, _AVOID321)
 def _matching_columns(s: Perm) -> bool:
     # the matched values and the matched places both strictly increase
     columns = zip(*bijections.matching_set(s))
@@ -526,40 +550,38 @@ def _dyck_words(half: int) -> Iterator[str]:
     return grow("", 0, 0)
 
 
-@_check("phi-roundtrip", 6)
-def _chk_phi_roundtrip(cap: int):
-    for n in range(cap + 1):
-        for d in _dyck_words(n):
-            alpha = bijections.phi_inverse(d)
-            if perms.contains_pattern(alpha, (1, 3, 2)):
-                return n, f"n={n} path={d}: image contains 132"
-            if bijections.phi(alpha) != d:
-                return n, f"n={n} path={d}"
-    return cap, None
+@_each_n("bijections", "phi-roundtrip", 6)
+def _chk_phi_roundtrip(n: int) -> str | None:
+    for d in _dyck_words(n):
+        alpha = bijections.phi_inverse(d)
+        if perms.contains_pattern(alpha, (1, 3, 2)):
+            return f" path={d}: image contains 132"
+        if bijections.phi(alpha) != d:
+            return f" path={d}"
+    return None
 
 
-@_check("f-laws", 7)
-def _chk_f_laws(cap: int):
-    for n in range(1, cap + 1):
-        for s in generate(n - 1):
-            base = perms.crs(s)
-            for k in range(1, n + 1):
-                image = bijections.f_k(s, k)
-                if image[k - 1] != 1:
-                    return n, f"n={n} sigma={fmt_perm(s)} k={k}"
-            if perms.crs(bijections.f_k(s, n)) != base:
-                return n, f"n={n} sigma={fmt_perm(s)} k={n}"
-            if n >= 2:
-                bump = 0 if (n - 1 <= len(s) and s[n - 2] == n - 1) else 1
-                if perms.crs(bijections.f_k(s, n - 1)) != base + bump:
-                    return n, f"n={n} sigma={fmt_perm(s)} k={n - 1}"
-            want = perms.direct_sum((1,), perms.inverse(s))
-            if bijections.f_k(s, 1) != want:
-                return n, f"n={n} sigma={fmt_perm(s)} k=1"
-    return cap, None
+@_each_n("bijections", "f-laws", 7, start=1)
+def _chk_f_laws(n: int) -> str | None:
+    for s in generate(n - 1):
+        base = perms.crs(s)
+        for k in range(1, n + 1):
+            image = bijections.f_k(s, k)
+            if image[k - 1] != 1:
+                return f" sigma={fmt_perm(s)} k={k}"
+        if perms.crs(bijections.f_k(s, n)) != base:
+            return f" sigma={fmt_perm(s)} k={n}"
+        if n >= 2:
+            bump = 0 if (n - 1 <= len(s) and s[n - 2] == n - 1) else 1
+            if perms.crs(bijections.f_k(s, n - 1)) != base + bump:
+                return f" sigma={fmt_perm(s)} k={n - 1}"
+        want = perms.direct_sum((1,), perms.inverse(s))
+        if bijections.f_k(s, 1) != want:
+            return f" sigma={fmt_perm(s)} k=1"
+    return None
 
 
-@_law("g-laws", 7, start=1)
+@_law("bijections", "g-laws", 7, start=1)
 def _g_laws(s: Perm) -> bool:
     # g_k moves the 1 from position k to n+1-k, keeps crs, and is an involution
     image = bijections.g_k(s)
@@ -570,46 +592,40 @@ def _g_laws(s: Perm) -> bool:
     )
 
 
-@_check("one-at-end-slice", 9)
-def _chk_one_at_end(cap: int):
+@_each_n("bijections", "one-at-end-slice", 9, start=1)
+def _chk_one_at_end(n: int) -> str | None:
     pat312 = ((3, 1, 2),)
     pat231 = ((2, 3, 1),)
-    for n in range(1, cap + 1):
-        slice_dist = _crs_by_first(n, pat312)[n - 1]
-        if slice_dist != _crs_total(n - 1, pat231):
-            return n, f"n={n}: distribution mismatch"
-        image = {bijections.f_k(s, n) for s in generate(n - 1, pat231)}
-        target = {s for s in generate(n, pat312) if s[n - 1] == 1}
-        if image != target:
-            return n, f"n={n}: image set mismatch"
-    return cap, None
+    if _crs_by_first(n, pat312)[n - 1] != _crs_total(n - 1, pat231):
+        return ": distribution mismatch"
+    image = {bijections.f_k(s, n) for s in generate(n - 1, pat231)}
+    target = {s for s in generate(n, pat312) if s[n - 1] == 1}
+    if image != target:
+        return ": image set mismatch"
+    return None
 
 
 # ---- distribution checks
 
 
-@_check("catalan-sizes", 10)
-def _chk_catalan_sizes(cap: int):
-    for n in range(cap + 1):
-        want = comb(2 * n, n) // (n + 1)
-        for pat in _PATTERNS3:
-            got = sum(1 for _ in generate(n, (pat,)))
-            if got != want:
-                return n, f"n={n} pattern={fmt_perm(pat)}: {got} != {want}"
-    return cap, None
+@_each_n("distributions", "catalan-sizes", 10)
+def _chk_catalan_sizes(n: int) -> str | None:
+    want = comb(2 * n, n) // (n + 1)
+    for pat in _PATTERNS3:
+        got = sum(1 for _ in generate(n, (pat,)))
+        if got != want:
+            return f" pattern={fmt_perm(pat)}: {got} != {want}"
+    return None
 
 
-@_check("equidistribution-321-132-213", 10)
-def _chk_equidistribution(cap: int):
-    for n in range(cap + 1):
-        polys = [
-            _crs_total(n, _pat_key(p)) for p in ((3, 2, 1), (1, 3, 2), (2, 1, 3))
-        ]
-        if polys[0] != polys[1] or polys[0] != polys[2]:
-            return n, f"n={n}"
-        if polys[0] != qseries.catalan_crs(n):
-            return n, f"n={n}: differs from the Catalan distribution"
-    return cap, None
+@_each_n("distributions", "equidistribution-321-132-213", 10)
+def _chk_equidistribution(n: int) -> str | None:
+    polys = [_crs_total(n, _pat_key(p)) for p in ((3, 2, 1), (1, 3, 2), (2, 1, 3))]
+    if polys[0] != polys[1] or polys[0] != polys[2]:
+        return ""
+    if polys[0] != qseries.catalan_crs(n):
+        return ": differs from the Catalan distribution"
+    return None
 
 
 _PAIR_CLASSES = tuple(
@@ -620,40 +636,38 @@ _PAIR_CLASSES = tuple(
 )
 
 
-@_check("closed-forms-pairs", 12)
-def _chk_closed_pairs(cap: int):
-    for n in range(cap + 1):
-        for pats in _PAIR_CLASSES:
-            if qseries.closed_form(pats, n) != _crs_total(n, pats):
-                return n, f"n={n} patterns={_label(pats)}"
-    return cap, None
+@_each_n("distributions", "closed-forms-pairs", 12)
+def _chk_closed_pairs(n: int) -> str | None:
+    for pats in _PAIR_CLASSES:
+        if qseries.closed_form(pats, n) != _crs_total(n, pats):
+            return f" patterns={fmt_patterns(pats)}"
+    return None
 
 
-@_check("closed-forms-singles", 10)
-def _chk_closed_singles(cap: int):
-    for n in range(cap + 1):
-        for pat in ((3, 2, 1), (1, 3, 2), (2, 1, 3)):
-            if qseries.closed_form((pat,), n) != _crs_total(n, _pat_key(pat)):
-                return n, f"n={n} pattern={fmt_perm(pat)}"
-    return cap, None
+@_each_n("distributions", "closed-forms-singles", 10)
+def _chk_closed_singles(n: int) -> str | None:
+    for pat in ((3, 2, 1), (1, 3, 2), (2, 1, 3)):
+        if qseries.closed_form((pat,), n) != _crs_total(n, _pat_key(pat)):
+            return f" pattern={fmt_perm(pat)}"
+    return None
 
 
-@_check("rec-213-132", 12)
-def _chk_rec_213_132(cap: int):
+@_each_n("distributions", "rec-213-132", 12)
+def _chk_rec_213_132(n: int) -> str | None:
     pats = _pat_key((2, 1, 3), (1, 3, 2))
-    for n in range(cap + 1):
-        if qseries.dist_213_132(n) != _crs_total(n, pats):
-            return n, f"n={n}: total mismatch"
-        if n >= 1:
-            by_first = _crs_by_first(n, pats)
-            for k in range(1, n + 1):
-                if qseries.dist_213_132_first(n, k) != by_first[k - 1]:
-                    return n, f"n={n} k={k}"
-    return cap, None
+    if qseries.dist_213_132(n) != _crs_total(n, pats):
+        return ": total mismatch"
+    if n >= 1:
+        by_first = _crs_by_first(n, pats)
+        for k in range(1, n + 1):
+            if qseries.dist_213_132_first(n, k) != by_first[k - 1]:
+                return f" k={k}"
+    return None
 
 
-@_check("r-table", 10)
+@_check("distributions", "r-table", 10)
 def _chk_r_table(cap: int):
+    # raw: every R-table row through cap+1 is checked before any class
     rows = qseries.r_table(cap + 1)
     for n in range(cap + 2):
         for k in range(n):
@@ -670,47 +684,42 @@ def _chk_r_table(cap: int):
     return cap, None
 
 
-@_check("inv-dist", 9)
-def _chk_inv_dist(cap: int):
-    for n in range(cap + 1):
-        by_recurrence = qseries.inv_dist_321(n)
-        by_catalan = qseries.catalan_qp(n).eval_poly({"q": QPoly.q_power(1), "p": QPoly.q_power(1)})
-        if by_recurrence != by_catalan:
-            return n, f"n={n}: recurrence vs C_n(q,q)"
-        if n <= min(cap, 8):
-            brute = distribution(DistributionQuery(n, _AVOID321, "inv")).polynomial
-            if by_recurrence != brute:
-                return n, f"n={n}: recurrence vs brute force"
-    return cap, None
+@_each_n("distributions", "inv-dist", 9)
+def _chk_inv_dist(n: int) -> str | None:
+    by_recurrence = qseries.inv_dist_321(n)
+    q = QPoly.q_power(1)
+    if by_recurrence != qseries.catalan_qp(n).eval_poly({"q": q, "p": q}):
+        return ": recurrence vs C_n(q,q)"
+    if n <= 8:
+        brute = distribution(DistributionQuery(n, _AVOID321, "inv")).polynomial
+        if by_recurrence != brute:
+            return ": recurrence vs brute force"
+    return None
 
 
-@_check("exc-crs-catalan", 8)
-def _chk_exc_crs(cap: int):
-    for n in range(cap + 1):
-        got = joint_distribution(n, _AVOID321, ["exc", "crs"])
-        if got != qseries.catalan_qp(n):
-            return n, f"n={n}"
-    return cap, None
+@_each_n("distributions", "exc-crs-catalan", 8)
+def _chk_exc_crs(n: int) -> str | None:
+    if joint_distribution(n, _AVOID321, ["exc", "crs"]) != qseries.catalan_qp(n):
+        return ""
+    return None
 
 
-@_check("triple-equidistribution", 8)
-def _chk_triple(cap: int):
-    for n in range(cap + 1):
-        tables = [
-            joint_distribution(n, (p,), ["fp", "exc", "crs"])
-            for p in ((3, 2, 1), (1, 3, 2), (2, 1, 3))
-        ]
-        if tables[0] != tables[1] or tables[0] != tables[2]:
-            return n, f"n={n}"
-    return cap, None
+@_each_n("distributions", "triple-equidistribution", 8)
+def _chk_triple(n: int) -> str | None:
+    tables = [
+        joint_distribution(n, (p,), ["fp", "exc", "crs"])
+        for p in ((3, 2, 1), (1, 3, 2), (2, 1, 3))
+    ]
+    if tables[0] != tables[1] or tables[0] != tables[2]:
+        return ""
+    return None
 
 
-@_check("crs-nes-symmetry", 8)
-def _chk_crs_nes(cap: int):
-    for n in range(cap + 1):
-        if not joint_distribution(n, (), ["crs", "nes"]).is_symmetric():
-            return n, f"n={n}"
-    return cap, None
+@_each_n("distributions", "crs-nes-symmetry", 8)
+def _chk_crs_nes(n: int) -> str | None:
+    if not joint_distribution(n, (), ["crs", "nes"]).is_symmetric():
+        return ""
+    return None
 
 
 def _admissible_sets() -> list[tuple[Perm, ...]]:
@@ -720,91 +729,84 @@ def _admissible_sets() -> list[tuple[Perm, ...]]:
     return sets
 
 
-@_check("one-position-boundaries", 9)
-def _chk_one_pos_boundaries(cap: int):
+@_each_n("distributions", "one-position-boundaries", 9, start=3)
+def _chk_one_pos_boundaries(n: int) -> str | None:
     q = QPoly.q_power(1)
     one_minus_q = QPoly((1, -1))
-    for n in range(3, cap + 1):
-        for pats in _admissible_sets():
-            lo = min((p.index(1) + 1 for p in pats), default=inf)
-            hi = max((p.index(1) + 1 for p in pats), default=0)
-            inv_pats = _pat_key(*(perms.inverse(p) for p in pats))
-            by_first = _crs_by_first(n, pats)
-            if lo > 1 and by_first[0] != _crs_total(n - 1, pats):
-                return n, f"n={n} T={_label(pats)} identity (i)"
-            if lo > 2:
-                want = q * _crs_total(n - 1, pats) + one_minus_q * _crs_total(n - 2, pats)
-                if by_first[1] != want:
-                    return n, f"n={n} T={_label(pats)} identity (ii)"
-            if hi < 2:
-                last = _crs_by_last(n - 1, inv_pats)
-                tail = last[n - 2] if n >= 2 else QPoly.one()
-                want = q * _crs_total(n - 1, inv_pats) + one_minus_q * tail
-                if by_first[n - 2] != want:
-                    return n, f"n={n} T={_label(pats)} identity (iii)"
-            if hi < 3 and by_first[n - 1] != _crs_total(n - 1, inv_pats):
-                return n, f"n={n} T={_label(pats)} identity (iv)"
-    return cap, None
+    for pats in _admissible_sets():
+        lo = min((p.index(1) + 1 for p in pats), default=inf)
+        hi = max((p.index(1) + 1 for p in pats), default=0)
+        inv_pats = _pat_key(*(perms.inverse(p) for p in pats))
+        by_first = _crs_by_first(n, pats)
+        if lo > 1 and by_first[0] != _crs_total(n - 1, pats):
+            return f" T={fmt_patterns(pats)} identity (i)"
+        if lo > 2:
+            want = q * _crs_total(n - 1, pats) + one_minus_q * _crs_total(n - 2, pats)
+            if by_first[1] != want:
+                return f" T={fmt_patterns(pats)} identity (ii)"
+        if hi < 2:
+            tail = _crs_by_last(n - 1, inv_pats)[n - 2]
+            want = q * _crs_total(n - 1, inv_pats) + one_minus_q * tail
+            if by_first[n - 2] != want:
+                return f" T={fmt_patterns(pats)} identity (iii)"
+        if hi < 3 and by_first[n - 1] != _crs_total(n - 1, inv_pats):
+            return f" T={fmt_patterns(pats)} identity (iv)"
+    return None
 
 
-@_check("one-position-symmetry", 8)
-def _chk_one_pos_symmetry(cap: int):
+@_each_n("distributions", "one-position-symmetry", 8, start=2)
+def _chk_one_pos_symmetry(n: int) -> str | None:
     q = QPoly.q_power(1)
     one_minus_q = QPoly((1, -1))
-    for n in range(2, cap + 1):
-        by_first = _crs_by_first(n, ())
-        for k in range(1, n + 1):
-            if by_first[k - 1] != by_first[n - k]:
-                return n, f"n={n} k={k}"
-        if by_first[0] != _crs_total(n - 1, ()):
-            return n, f"n={n} boundary"
-        want = q * _crs_total(n - 1, ()) + one_minus_q * _crs_total(n - 2, ())
-        if by_first[1] != want:
-            return n, f"n={n} second column"
-    return cap, None
+    by_first = _crs_by_first(n, ())
+    for k in range(1, n + 1):
+        if by_first[k - 1] != by_first[n - k]:
+            return f" k={k}"
+    if by_first[0] != _crs_total(n - 1, ()):
+        return " boundary"
+    want = q * _crs_total(n - 1, ()) + one_minus_q * _crs_total(n - 2, ())
+    if by_first[1] != want:
+        return " second column"
+    return None
 
 
-@_check("pascal-rows", 10)
-def _chk_pascal_rows(cap: int):
-    for n in range(2, cap + 1):
-        want = QPoly((1, 1)) ** (n - 2)
-        got_first = _crs_by_first(n, _pat_key((1, 2, 3), (1, 3, 2)))[n - 2]
-        got_last = _crs_by_last(n, _pat_key((1, 2, 3), (2, 1, 3)))[1]
-        if got_first != want:
-            return n, f"n={n} S_n^(n-1)(123,132)"
-        if got_last != want:
-            return n, f"n={n} S_(n,2)(123,213)"
-    return cap, None
+@_each_n("distributions", "pascal-rows", 10, start=2)
+def _chk_pascal_rows(n: int) -> str | None:
+    want = QPoly((1, 1)) ** (n - 2)
+    if _crs_by_first(n, _pat_key((1, 2, 3), (1, 3, 2)))[n - 2] != want:
+        return " S_n^(n-1)(123,132)"
+    if _crs_by_last(n, _pat_key((1, 2, 3), (2, 1, 3)))[1] != want:
+        return " S_(n,2)(123,213)"
+    return None
 
 
-@_check("sigma-words", 14)
-def _chk_sigma_words(cap: int):
-    for n in range(1, cap + 1):
-        for k in range(0, n + 1):
-            top = n - 1 if k == 0 else n - k
-            for j in range(1, top + 1):
-                word = qseries.sigma_nkj(n, k, j)
-                if qseries.crs_sigma_nkj(n, k, j) != perms.crs(word):
-                    return n, f"n={n} k={k} j={j}"
-        for k in range(1, n - 1):
-            gamma = qseries.gamma_nk(n, k)
-            if (n - k) % 2 == 1 and gamma != QPoly.zero():
-                return n, f"n={n} k={k}: gamma should vanish"
-            if (n - k) % 2 == 0 and n - k >= 2:
-                middle = qseries.sigma_nkj(n, k, (n - k) // 2)
-                if gamma != QPoly.q_power(perms.crs(middle)):
-                    return n, f"n={n} k={k}: gamma exponent"
-    return cap, None
+@_each_n("distributions", "sigma-words", 14, start=1)
+def _chk_sigma_words(n: int) -> str | None:
+    for k in range(0, n + 1):
+        top = n - 1 if k == 0 else n - k
+        for j in range(1, top + 1):
+            word = qseries.sigma_nkj(n, k, j)
+            if qseries.crs_sigma_nkj(n, k, j) != perms.crs(word):
+                return f" k={k} j={j}"
+    for k in range(1, n - 1):
+        gamma = qseries.gamma_nk(n, k)
+        if (n - k) % 2 == 1 and gamma != QPoly.zero():
+            return f" k={k}: gamma should vanish"
+        if (n - k) % 2 == 0 and n - k >= 2:
+            middle = qseries.sigma_nkj(n, k, (n - k) // 2)
+            if gamma != QPoly.q_power(perms.crs(middle)):
+                return f" k={k}: gamma exponent"
+    return None
 
 
-# ---- series checks
+# ---- series checks: raw, each compares one series at order = cap
 
 
 def _series_from_dists(pats: tuple[Perm, ...], order: int) -> Series:
     return Series.of([_crs_total(n, pats) for n in range(order + 1)], order)
 
 
-@_check("cf-catalan", 10)
+@_check("series", "cf-catalan", 10)
 def _chk_cf_catalan(cap: int):
     ladder = [QPoly.q_power((i + 1) // 2 - 1) for i in range(1, cap + 1)]
     got = qseries.cf_series(ladder, cap)
@@ -814,7 +816,7 @@ def _chk_cf_catalan(cap: int):
     return cap, None
 
 
-@_check("cf-crs-nes", 6)
+@_check("series", "cf-crs-nes", 6)
 def _chk_cf_crs_nes(cap: int):
     ladder = [qseries.bi_bracket((i + 1) // 2) for i in range(1, cap + 1)]
     got = qseries.cf_series(ladder, cap)
@@ -830,7 +832,7 @@ def _chk_cf_crs_nes(cap: int):
     return cap, None
 
 
-@_check("gf-relations", 10)
+@_check("series", "gf-relations", 10)
 def _chk_gf_relations(cap: int):
     order = cap
     one = Series.of([1], order)
@@ -858,10 +860,8 @@ def _chk_gf_relations(cap: int):
 # ---- generation self-checks
 
 
-@_check("generate-lex-unique", 6)
-def _chk_generate(cap: int):
-    from itertools import permutations as all_perms
-
+@_each_n("generation", "generate-lex-unique", 6)
+def _chk_generate(n: int) -> str | None:
     sample_sets = [
         (),
         _pat_key((3, 2, 1)),
@@ -869,96 +869,45 @@ def _chk_generate(cap: int):
         _pat_key((3, 1, 2), (1, 3, 2)),
         _pat_key((2, 1,)),
     ]
-    for n in range(cap + 1):
-        for pats in sample_sets:
-            got = list(generate(n, pats))
-            # the reference shares no code with the walk's completion rule
-            want = [
-                p
-                for p in sorted(all_perms(range(1, n + 1)))
-                if not any(
-                    perms.reduce_word(c) == tau
-                    for tau in pats
-                    for c in combinations(p, len(tau))
-                )
-            ]
-            if got != want:
-                return n, f"n={n} T={_label(pats)}"
-    return cap, None
+    for pats in sample_sets:
+        got = list(generate(n, pats))
+        # the reference shares no code with the walk's completion rule
+        want = [
+            p
+            for p in sorted(permutations(range(1, n + 1)))
+            if not any(
+                perms.reduce_word(c) == tau
+                for tau in pats
+                for c in combinations(p, len(tau))
+            )
+        ]
+        if got != want:
+            return f" T={fmt_patterns(pats)}"
+    return None
 
 
-@_check("refinement-partition", 8)
-def _chk_partition(cap: int):
-    for n in range(1, cap + 1):
-        for pats in ((), _pat_key((3, 2, 1)), _pat_key((2, 1, 3), (1, 3, 2))):
-            total = _crs_total(n, pats)
-            acc = QPoly.zero()
-            for part in _crs_by_first(n, pats):
-                acc = acc + part
-            if acc != total:
-                return n, "first-of-one cells do not partition"
-            acc = QPoly.zero()
-            for part in _crs_by_last(n, pats):
-                acc = acc + part
-            if acc != total:
-                return n, "last-value cells do not partition"
-    return cap, None
+@_each_n("generation", "refinement-partition", 8, start=1)
+def _chk_partition(n: int) -> str | None:
+    for pats in ((), _pat_key((3, 2, 1)), _pat_key((2, 1, 3), (1, 3, 2))):
+        total = _crs_total(n, pats)
+        acc = QPoly.zero()
+        for part in _crs_by_first(n, pats):
+            acc = acc + part
+        if acc != total:
+            return ": first-of-one cells do not partition"
+        acc = QPoly.zero()
+        for part in _crs_by_last(n, pats):
+            acc = acc + part
+        if acc != total:
+            return ": last-value cells do not partition"
+    return None
 
 
 # ---------------------------------------------------------------------------
 # suites and the report
 
-
-_SUITES: dict[str, tuple[str, ...]] = {
-    "perm-lemmas": (
-        "crs-decomposition",
-        "crs-star-split",
-        "inverse-crossings",
-        "append-one",
-        "insert-one",
-        "reverse-complement",
-        "insert-letter",
-        "insert-front",
-        "tail-fixed-insert",
-        "sum-ops",
-        "product-ops",
-        "sum-product-exchange",
-    ),
-    "bijections": (
-        "theta-routes-agree",
-        "theta-preserves-crs",
-        "theta-inverse-roundtrip",
-        "gamma-preserves",
-        "rsk-routes-agree",
-        "rsk-duality",
-        "psi-injective",
-        "dyck-balance",
-        "matching-columns",
-        "phi-roundtrip",
-        "f-laws",
-        "g-laws",
-        "one-at-end-slice",
-    ),
-    "distributions": (
-        "catalan-sizes",
-        "equidistribution-321-132-213",
-        "closed-forms-pairs",
-        "closed-forms-singles",
-        "rec-213-132",
-        "r-table",
-        "inv-dist",
-        "exc-crs-catalan",
-        "triple-equidistribution",
-        "crs-nes-symmetry",
-        "one-position-boundaries",
-        "one-position-symmetry",
-        "pascal-rows",
-        "sigma-words",
-    ),
-    "series": ("cf-catalan", "cf-crs-nes", "gf-relations"),
-    "generation": ("generate-lex-unique", "refinement-partition"),
-}
-_SUITES["all"] = tuple(name for names in _SUITES.values() for name in names)
+# `all` runs the suites one after another, each in registration order
+_SUITES["all"] = [name for names in _SUITES.values() for name in names]
 
 
 def suite_names() -> tuple[str, ...]:
@@ -977,7 +926,7 @@ def verify(suite: str, n_max: int | None = None, include_timings: bool = False) 
     if suite in _SUITES:
         names = _SUITES[suite]
     elif suite in _CHECKS:
-        names = (suite,)
+        names = [suite]
     else:
         known = ", ".join(sorted(set(_SUITES) | set(_CHECKS)))
         raise ValueError(f"unknown suite {suite!r}; known: {known}")
@@ -986,7 +935,7 @@ def verify(suite: str, n_max: int | None = None, include_timings: bool = False) 
         fn, default_cap = _CHECKS[name]
         cap = default_cap if n_max is None else n_max
         start = time.perf_counter()
-        reached, counterexample = fn(cap)  # type: ignore[operator]
+        reached, counterexample = fn(cap)
         entry: dict = {
             "name": name,
             "n": reached,
@@ -998,7 +947,6 @@ def verify(suite: str, n_max: int | None = None, include_timings: bool = False) 
             entry["millis"] = round((time.perf_counter() - start) * 1000.0, 3)
         checks.append(entry)
     return {"suite": suite, "n_max": n_max, "checks": checks}
-
 
 __all__ = [
     "DistributionQuery",

@@ -53,10 +53,6 @@ def as_perm(values: Iterable[int]) -> Perm:
     return word
 
 
-def is_perm(word: Sequence[int]) -> bool:
-    return sorted(word) == list(range(1, len(word) + 1))
-
-
 def identity(n: int) -> Perm:
     return tuple(range(1, n + 1))
 
@@ -93,6 +89,15 @@ def fmt_perm(sigma: Sequence[int]) -> str:
     if all(v <= 9 for v in sigma):
         return "".join(str(v) for v in sigma)
     return " ".join(str(v) for v in sigma)
+
+
+def fmt_patterns(patterns: Sequence[Sequence[int]]) -> str:
+    """A pattern set in the given order, comma-separated; '(none)' if empty.
+
+    >>> fmt_patterns([(1, 2, 3), (1, 3, 2)]), fmt_patterns([])
+    ('123,132', '(none)')
+    """
+    return ",".join(map(fmt_perm, patterns)) or "(none)"
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +437,6 @@ def reverse(sigma: Perm) -> Perm:
 def complement(sigma: Perm) -> Perm:
     n = len(sigma)
     return tuple(n + 1 - v for v in sigma)
-
-
-INVOLUTION_KINDS = ("r", "c", "i", "rc", "rci")
 
 
 def involution(sigma: Perm, kind: str) -> Perm:

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from functools import cache
-from math import comb
 
-from .perms import Perm, as_perm
+from .perms import Perm, as_perm, fmt_patterns
 
 
 def _format_terms(parts: list[tuple[int, str]]) -> str:
@@ -809,6 +808,15 @@ def closed_form(patterns: Iterable[Sequence[int]], n: int) -> QPoly:
     {213,132} (recurrence only, see dist_213_132), plus the single
     patterns 321, 132, 213 (Catalan distribution C_n(1,q)).  Anything
     else raises, pointing the caller at the enumerator.
+
+    >>> closed_form([(1, 2, 3)], 4)  # doctest: +ELLIPSIS
+    Traceback (most recent call last):
+        ...
+    ValueError: no closed form for {123}; use the enumerator ...
+    >>> closed_form([], 4)  # doctest: +ELLIPSIS
+    Traceback (most recent call last):
+        ...
+    ValueError: no closed form for {(none)}; use the enumerator ...
     """
     if n < 0:
         raise ValueError(f"negative size: {n}")
@@ -817,12 +825,9 @@ def closed_form(patterns: Iterable[Sequence[int]], n: int) -> QPoly:
         return _CLOSED_FORMS[key](n)  # type: ignore[operator]
     if len(key) == 1 and next(iter(key)) in _CATALAN_CLASSES:
         return catalan_crs(n)
-    names = ",".join(
-        sorted("".join(str(v) for v in p) for p in key)
-    ) or "(empty)"
     raise ValueError(
-        f"no closed form for {{{names}}}; use the enumerator (or dist_213_132 "
-        f"for that pair)"
+        f"no closed form for {{{fmt_patterns(sorted(key))}}}; use the enumerator "
+        f"(or dist_213_132 for that pair)"
     )
 
 

@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from crossperm import bijections, enumeration, perms
+from crossperm import bijections, enumeration, perms, qseries
 from crossperm.enumeration import (
     DistributionQuery,
     distribution,
@@ -238,11 +238,42 @@ def test_aggregator_matches_naive_reference():
 # the verification registry
 
 
+_SUITE_ORDER = ("perm-lemmas", "bijections", "distributions", "series", "generation")
+
+# the order of `check all`; each suite is one contiguous block of it
+_ALL_CHECKS = (
+    "crs-decomposition", "crs-star-split", "inverse-crossings", "append-one",
+    "insert-one", "reverse-complement", "insert-letter", "insert-front",
+    "tail-fixed-insert", "sum-ops", "product-ops", "sum-product-exchange",
+    "theta-routes-agree", "theta-preserves-crs", "theta-inverse-roundtrip",
+    "gamma-preserves", "rsk-routes-agree", "rsk-duality", "psi-injective",
+    "dyck-balance", "matching-columns", "phi-roundtrip", "f-laws", "g-laws",
+    "one-at-end-slice",
+    "catalan-sizes", "equidistribution-321-132-213", "closed-forms-pairs",
+    "closed-forms-singles", "rec-213-132", "r-table", "inv-dist",
+    "exc-crs-catalan", "triple-equidistribution", "crs-nes-symmetry",
+    "one-position-boundaries", "one-position-symmetry", "pascal-rows",
+    "sigma-words",
+    "cf-catalan", "cf-crs-nes", "gf-relations",
+    "generate-lex-unique", "refinement-partition",
+)
+
+
 def test_suite_names_cover_groups_and_checks():
     names = suite_names()
     for expected in ("all", "perm-lemmas", "bijections", "distributions",
                      "series", "generation", "crs-decomposition", "rec-213-132"):
         assert expected in names
+    assert names[:6] == (*_SUITE_ORDER, "all")
+    assert names[6:] == _ALL_CHECKS
+
+    def members(suite):
+        return tuple(c["name"] for c in verify(suite, n_max=0)["checks"])
+
+    assert len(_ALL_CHECKS) == 44
+    assert members("all") == _ALL_CHECKS
+    # the suites, in order, tile `all` exactly: contiguous and disjoint
+    assert sum((members(s) for s in _SUITE_ORDER), ()) == _ALL_CHECKS
 
 
 def test_verify_single_check_report_shape():
@@ -295,11 +326,29 @@ def _identity_of_same_size(sigma):
          3, "n=3 sigma=312"),
         ("g-laws", bijections, "g_k", ((2, 1, 3),), lambda v: v[::-1],
          3, "n=3 sigma=213"),
+        ("sum-ops", perms, "direct_sum", ((2, 1), (1,)), lambda v: v[::-1],
+         3, "n=3 sigma=21+1"),
+        ("phi-roundtrip", bijections, "phi", ((1, 2),), lambda v: "udud",
+         2, "n=2 path=uudd"),
+        ("f-laws", bijections, "f_k", ((2, 1), 3), lambda v: v[::-1],
+         3, "n=3 sigma=21 k=3"),
+        ("insert-letter", perms, "insert", ((2, 1), 2, 1), lambda v: v[::-1],
+         3, "n=3 sigma=21 a=2 b=1"),
+        ("closed-forms-pairs", qseries, "closed_form", (((1, 2, 3), (1, 3, 2)), 4),
+         lambda v: v + 1, 4, "n=4 patterns=123,132"),
+        ("equidistribution-321-132-213", qseries, "catalan_crs", (4,),
+         lambda v: v + 1, 4, "n=4: differs from the Catalan distribution"),
+        ("one-at-end-slice", bijections, "f_k", ((1, 2), 3), lambda v: v[::-1],
+         3, "n=3: image set mismatch"),
+        ("refinement-partition", enumeration, "_crs_by_last", (3, ()),
+         lambda v: v[:-1], 3, "n=3: last-value cells do not partition"),
     ],
     ids=["crs-decomposition", "inverse-crossings", "append-one", "insert-one-k",
          "insert-front-j", "tail-fixed-insert-k", "theta-preserves-crs",
          "theta-preserves-crs-fp-exc", "theta-routes-agree", "gamma-preserves",
-         "g-laws"],
+         "g-laws", "sum-ops", "phi-roundtrip", "f-laws-k", "insert-letter-a-b",
+         "closed-forms-pairs", "equidistribution-catalan", "one-at-end-slice",
+         "refinement-partition-last"],
 )
 def test_counterexample_strings_are_pinned(
     monkeypatch, check, module, attr, bad_args, corrupt, n, counterexample
