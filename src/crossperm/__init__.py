@@ -25,7 +25,6 @@ from .perms import (
     insert,
     inverse,
     involution,
-    multi_insert,
     nestings,
     nes,
     product_decompose,
@@ -60,7 +59,6 @@ __all__ = [
     "inverse",
     "involution",
     "matching_set",
-    "multi_insert",
     "nestings",
     "nes",
     "phi",

@@ -118,11 +118,6 @@ class TableauPair:
         if len(self.p_row2) != len(self.q_row2):
             raise ValueError("P and Q must have the same shape")
 
-    def text(self) -> str:
-        """Two lines per tableau, space-separated (second line may be empty)."""
-        rows = (self.p_row1, self.p_row2, self.q_row1, self.q_row2)
-        return "\n".join(" ".join(str(v) for v in row) for row in rows)
-
 
 def rsk_two_row(sigma: Perm) -> TableauPair:
     """Tableau pair of a 321-avoider, read off the matching set.

@@ -226,14 +226,8 @@ def _table_rows(name: str, n_max: int) -> list[list[str]]:
         return [
             [entry.text() for entry in row] for row in qseries.r_table(n_max)
         ]
-    if name == "a076791":
-        pats = ((3, 2, 1), (2, 3, 1))
-        return [
-            [str(c) for c in qseries.closed_form(pats, n).json_coeffs()]
-            for n in range(n_max + 1)
-        ]
-    if name == "a299927":
-        pats = ((1, 2, 3), (1, 3, 2))
+    if name in ("a076791", "a299927"):
+        pats = ((3, 2, 1), (2, 3, 1)) if name == "a076791" else ((1, 2, 3), (1, 3, 2))
         return [
             [str(c) for c in qseries.closed_form(pats, n).json_coeffs()]
             for n in range(n_max + 1)
@@ -466,10 +460,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

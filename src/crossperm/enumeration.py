@@ -129,7 +129,7 @@ class DistributionQuery:
         if self.n < 0:
             raise ValueError(f"negative size: {self.n}")
         object.__setattr__(
-            self, "patterns", tuple(sorted(as_perm(p) for p in self.patterns))
+            self, "patterns", tuple(sorted({as_perm(p) for p in self.patterns}))
         )
         if self.statistic not in STATISTICS:
             raise ValueError(f"unknown statistic: {self.statistic!r}")
@@ -176,9 +176,6 @@ def _tally(n: int, pats: tuple[Perm, ...], columns: tuple[str, ...], refinement)
     and they are filtered before any column is evaluated.  The result is
     cached, so it is handed out read-only.
     """
-    for column in columns:
-        if column not in _COLUMNS:
-            raise ValueError(f"unknown statistic: {column!r}")
     fns = [_COLUMNS[column] for column in columns]
     name, k, j = refinement
     admits = DistributionQuery(n, pats, refinement=name, k=k, j=j).admits
@@ -222,6 +219,9 @@ def joint_distribution(
     names = tuple(variables) if variables is not None else _JOINT_VARS[len(stats)]
     if len(names) != len(stats):
         raise ValueError("one variable per statistic")
+    for stat in stats:
+        if stat not in STATISTICS:
+            raise ValueError(f"unknown statistic: {stat!r}")
     pats = tuple(sorted({as_perm(p) for p in patterns}))
     return MultiPoly(names, dict(_tally(n, pats, tuple(stats), _WHOLE)))
 
@@ -357,9 +357,11 @@ def _append_one(s: Perm) -> bool:
 @_law("perm-lemmas", "insert-one", 7, start=1)
 def _insert_one(s: Perm) -> bool | str:
     base = perms.crs(s)
+    ut, lt = perms.ut_set(s), perms.lt_set(s)
     for k in range(1, len(s) + 1):
-        rs = perms.refined_stats(s, k, 1)
-        want = base + rs.ut_k_minus - rs.lt_k_minus + rs.alpha_k
+        ut_minus = sum(1 for i in ut if i < k)
+        lt_minus = sum(1 for i in lt if i < k)
+        want = base + ut_minus - lt_minus + perms.alpha_k(s, k)
         if perms.crs(perms.insert(s, k, 1)) != want:
             return f" k={k}"
     return True
@@ -394,8 +396,8 @@ def _chk_insert_letter(n: int) -> str | None:
 def _insert_front(s: Perm) -> bool | str:
     base = perms.crs(s)
     for j in range(1, len(s) + 2):
-        rs = perms.refined_stats(s, 1, j)
-        want = base + len(rs.x_j) + len(rs.y_j) - len(rs.z_j)
+        x_j, y_j, z_j = perms.prepend_sets(s, j)
+        want = base + len(x_j) + len(y_j) - len(z_j)
         if perms.crs(perms.insert(s, 1, j)) != want:
             return f" j={j}"
     return True

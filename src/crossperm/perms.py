@@ -354,46 +354,22 @@ def crs_star(sigma: Perm) -> int:
     return count
 
 
-@dataclasses.dataclass(frozen=True)
-class RefinedStats:
-    """Position-split crossing data used by the insertion formulas.
-
-    The k-split counts how much of Ut/Lt lies strictly left of position k;
-    alpha_k counts values below k sitting at or right of position k.  The
-    sets x_j, y_j, z_j drive the first-position insertion formula:
-    crs of (bump-and-prepend j) equals crs + |x_j| + |y_j| - |z_j|.
-    """
-
-    ut: int
-    lt: int
-    crs_star: int
-    ut_k_minus: int
-    ut_k_plus: int
-    lt_k_minus: int
-    lt_k_plus: int
-    alpha_k: int
-    x_j: frozenset[int]
-    y_j: frozenset[int]
-    z_j: frozenset[tuple[int, int]]
-
-
 def alpha_k(sigma: Perm, k: int) -> int:
     return sum(1 for i in range(k, len(sigma) + 1) if sigma[i - 1] < k)
 
 
-def refined_stats(sigma: Perm, k: int, j: int) -> RefinedStats:
+def prepend_sets(
+    sigma: Perm, j: int
+) -> tuple[frozenset[int], frozenset[int], frozenset[tuple[int, int]]]:
+    """The sets X_j, Y_j, Z_j of the first-position insertion formula.
+
+    crs(insert(sigma, 1, j)) == crs(sigma) + |X_j| + |Y_j| - |Z_j|.
+    """
     n = len(sigma)
-    if not 1 <= k <= max(n, 1):
-        raise ValueError(f"k out of range: {k}")
     if not 1 <= j <= n + 1:
         raise ValueError(f"j out of range: {j}")
     sinv = inverse(sigma)
-    ut_all = ut_set(sigma)
-    lt_all = lt_set(sigma)
-    ut_minus = sum(1 for i in ut_all if i < k)
-    lt_minus = sum(1 for i in lt_all if i < k)
-
-    # x_j needs i strictly left of position j-1: arcs long enough to cross
+    # X_j needs i strictly left of position j-1: arcs long enough to cross
     # the new first-position arc.  (The natural-looking i < j variant breaks
     # the insertion formula at sigma=231, j=2.)
     x_j = frozenset(i for i in range(1, n + 1) if i + 1 < j and sigma[i - 1] >= j)
@@ -402,7 +378,7 @@ def refined_stats(sigma: Perm, k: int, j: int) -> RefinedStats:
         for i in range(1, n)
         if i + 1 < j and sigma[i - 1] <= i and i + 1 <= sinv[i]
     )
-    # z_j is strict in l+1 < j: a crossing at height exactly j survives the
+    # Z_j is strict in l+1 < j: a crossing at height exactly j survives the
     # prepend because the value j itself gets bumped
     z_j = frozenset(
         (i, l)
@@ -411,19 +387,7 @@ def refined_stats(sigma: Perm, k: int, j: int) -> RefinedStats:
         for i in range(1, l)
         if sigma[i - 1] == l + 1 and sigma[l - 1] > l + 1
     )
-    return RefinedStats(
-        ut=len(ut_all),
-        lt=len(lt_all),
-        crs_star=crs_star(sigma),
-        ut_k_minus=ut_minus,
-        ut_k_plus=len(ut_all) - ut_minus,
-        lt_k_minus=lt_minus,
-        lt_k_plus=len(lt_all) - lt_minus,
-        alpha_k=alpha_k(sigma, k),
-        x_j=x_j,
-        y_j=y_j,
-        z_j=z_j,
-    )
+    return x_j, y_j, z_j
 
 
 # ---------------------------------------------------------------------------
@@ -493,19 +457,6 @@ def insert(sigma: Perm, i: int, x: int) -> Perm:
         raise ValueError(f"insert value out of range: {x}")
     bumped = shift_from(sigma, x, 1)
     return bumped[: i - 1] + (x,) + bumped[i - 1 :]
-
-
-def multi_insert(sigma: Perm, a: int, pi: Perm) -> Perm:
-    """Left fold of insert: place the word pi starting at position a.
-
-    >>> multi_insert((3, 1, 4, 2), 3, (2, 1, 3))
-    (6, 2, 4, 1, 3, 7, 5)
-    """
-    pi = as_perm(pi)
-    result = sigma
-    for t, x in enumerate(pi):
-        result = insert(result, a + t, x)
-    return result
 
 
 # ---------------------------------------------------------------------------

@@ -67,10 +67,6 @@ class QPoly:
             raise ValueError(f"negative power: {k}")
         return cls((0,) * k + (1,))
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -319,19 +315,6 @@ class MultiPoly:
         if len(self.variables) != 2:
             raise ValueError("symmetry check needs exactly two variables")
         return all(self.terms.get((b, a), 0) == v for (a, b), v in self.terms.items())
-
-    def matrix(self) -> list[list[int]]:
-        """Coefficients as rows indexed by the first variable's power."""
-        if len(self.variables) != 2:
-            raise ValueError("matrix form needs exactly two variables")
-        if not self.terms:
-            return [[0]]
-        rows = 1 + max(a for a, _ in self.terms)
-        cols = 1 + max(b for _, b in self.terms)
-        out = [[0] * cols for _ in range(rows)]
-        for (a, b), v in self.terms.items():
-            out[a][b] = v
-        return out
 
     def text(self) -> str:
         def mono(powers: tuple[int, ...]) -> str:

@@ -140,6 +140,13 @@ def test_dist_json_shape(capsys):
     assert "millis" not in payload
 
 
+def test_dist_json_lists_a_repeated_pattern_once(capsys):
+    out = run_ok(capsys, ["dist", "4", "321,321", "crs", "--json"])
+    payload = json.loads(out)
+    assert payload["patterns"] == [[3, 2, 1]]
+    assert payload["coefficients"] == [8, 4, 2]
+
+
 def test_dist_refined(capsys):
     out = run_ok(capsys, ["dist", "6", "-", "crs", "--refine", "tail", "--k", "2"])
     assert out.strip() == "5 + 10*q + 7*q^2 + 2*q^3"
@@ -286,3 +293,10 @@ def test_diagram_emission_is_deterministic(tmp_path, capsys):
 
 def test_diagram_bad_word(capsys):
     assert cli.run(["diagram", "dyck", "uddu", "--out", "/tmp/x.svg"]) == 3
+
+
+def test_diagram_unwritable_out_exits_3(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "x.svg"
+    assert cli.run(["diagram", "arcs", "21", "--out", str(out_path)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out_path.exists()

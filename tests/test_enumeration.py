@@ -168,6 +168,29 @@ def test_distribution_query_validation(kwargs):
         DistributionQuery(**kwargs)
 
 
+@pytest.fixture
+def walks(monkeypatch):
+    """Calls of enumeration.generate per (n, patterns), from an empty tally cache."""
+    counts = Counter()
+    real = enumeration.generate
+
+    def counting(n, patterns=()):
+        counts[n, tuple(patterns)] += 1
+        return real(n, patterns)
+
+    monkeypatch.setattr(enumeration, "generate", counting)
+    enumeration._tally.cache_clear()
+    return counts
+
+
+def test_distribution_query_drops_repeated_patterns(walks):
+    twice = DistributionQuery(4, ((3, 2, 1), (3, 2, 1)))
+    once = DistributionQuery(4, ((3, 2, 1),))
+    assert twice == once and twice.patterns == ((3, 2, 1),)
+    assert distribution(twice).polynomial == distribution(once).polynomial
+    assert walks == {(4, ((3, 2, 1),)): 1}
+
+
 def test_joint_distribution_exc_crs_is_qp_catalan():
     for n in range(7):
         got = joint_distribution(n, ((3, 2, 1),), ("exc", "crs"))
@@ -189,6 +212,12 @@ def test_joint_distribution_validation():
         joint_distribution(3, (), ("bogus",))
     with pytest.raises(ValueError, match="^unknown statistic: 'bogus'$"):
         joint_distribution(3, (), ("crs", "bogus"), variables=("x", "y"))
+    # the tally's private columns are not statistics
+    for private in ("one", "last"):
+        with pytest.raises(ValueError, match=f"^unknown statistic: '{private}'$"):
+            joint_distribution(3, (), (private,))
+        with pytest.raises(ValueError, match=f"^unknown statistic: '{private}'$"):
+            joint_distribution(3, (), ("crs", private), variables=("x", "y"))
 
 
 AGGREGATOR_CLASSES = [(), *[(p,) for p in itertools.permutations((1, 2, 3))],
@@ -368,32 +397,14 @@ def test_counterexample_strings_are_pinned(
     }
 
 
-def test_check_suites_walk_each_class_once(monkeypatch):
+def test_check_suites_walk_each_class_once(walks):
     # the crs total and both refinements are marginals of one cached tally
-    walks = Counter()
-    real = enumeration.generate
-
-    def counting(n, patterns=()):
-        walks[n, tuple(patterns)] += 1
-        return real(n, patterns)
-
-    monkeypatch.setattr(enumeration, "generate", counting)
-    enumeration._tally.cache_clear()
     report = verify("refinement-partition", n_max=5)
     assert report["checks"][0]["status"] == "pass"
     assert len(walks) == 15 and set(walks.values()) == {1}
 
 
-def test_joint_distribution_walks_once_whatever_the_variable_names(monkeypatch):
-    walks = Counter()
-    real = enumeration.generate
-
-    def counting(n, patterns=()):
-        walks[n, tuple(patterns)] += 1
-        return real(n, patterns)
-
-    monkeypatch.setattr(enumeration, "generate", counting)
-    enumeration._tally.cache_clear()
+def test_joint_distribution_walks_once_whatever_the_variable_names(walks):
     first = joint_distribution(5, (), ("crs", "nes"), variables=("q", "p"))
     second = joint_distribution(5, (), ("crs", "nes"), variables=("x", "y"))
     assert walks == {(5, ()): 1}

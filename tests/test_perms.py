@@ -21,13 +21,15 @@ from crossperm.perms import (
     insert,
     inverse,
     involution,
+    lt_set,
     lt_stat,
     nes,
     nestings,
+    prepend_sets,
     product_decompose,
     reduce_word,
-    refined_stats,
     sum_decompose,
+    ut_set,
     ut_stat,
 )
 
@@ -208,27 +210,31 @@ def test_crs_after_appending_smallest(sigma):
 def test_crs_after_inserting_smallest_anywhere():
     for sigma in small_perms(5):
         n = len(sigma)
+        ut, lt = ut_set(sigma), lt_set(sigma)
         for k in range(1, n + 1):
-            rs = refined_stats(sigma, k, 1)
+            ut_minus = sum(1 for i in ut if i < k)
+            lt_minus = sum(1 for i in lt if i < k)
             got = crs(insert(sigma, k, 1))
-            assert got == crs(sigma) + rs.ut_k_minus - rs.lt_k_minus + rs.alpha_k
+            assert got == crs(sigma) + ut_minus - lt_minus + alpha_k(sigma, k)
 
 
 def test_crs_after_prepending_any_letter():
     for sigma in small_perms(5):
         n = len(sigma)
         for j in range(1, n + 2):
-            rs = refined_stats(sigma, 1, j)
+            x_j, y_j, z_j = prepend_sets(sigma, j)
             got = crs(insert(sigma, 1, j))
-            want = crs(sigma) + len(rs.x_j) + len(rs.y_j) - len(rs.z_j)
+            want = crs(sigma) + len(x_j) + len(y_j) - len(z_j)
             assert got == want, (sigma, j)
 
 
-def test_refined_stats_window_counts():
-    rs = refined_stats((3, 4, 1, 2), 3, 1)
-    assert rs.ut_k_minus + rs.ut_k_plus == ut_stat((3, 4, 1, 2))
-    assert rs.lt_k_minus + rs.lt_k_plus == lt_stat((3, 4, 1, 2))
-    assert rs.alpha_k == alpha_k((3, 4, 1, 2), 3)
+def test_prepend_sets_golden():
+    sigma = (1, 4, 5, 2, 3)
+    assert prepend_sets(sigma, 5) == ({3}, {1}, {(2, 3)})
+    assert (crs(sigma), crs(insert(sigma, 1, 5))) == (2, 3)
+    for j in (0, len(sigma) + 2):
+        with pytest.raises(ValueError, match=f"^j out of range: {j}$"):
+            prepend_sets(sigma, j)
 
 
 # ---------------------------------------------------------------------------
