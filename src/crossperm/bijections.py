@@ -134,8 +134,9 @@ def _rsk_two_row(sigma: Perm) -> TableauPair:
     pairs = matching_set(sigma)
     p2 = tuple(v for v, _ in pairs)
     q2 = tuple(a for _, a in pairs)
-    p1 = tuple(v for v in range(1, n + 1) if v not in set(p2))
-    q1 = tuple(v for v in range(1, n + 1) if v not in set(q2))
+    in_p2, in_q2 = set(p2), set(q2)
+    p1 = tuple(v for v in range(1, n + 1) if v not in in_p2)
+    q1 = tuple(v for v in range(1, n + 1) if v not in in_q2)
     return TableauPair(p1, p2, q1, q2)
 
 

@@ -108,6 +108,8 @@ def _cmd_stats(args) -> int:
 
 def _cmd_avoid(args) -> int:
     patterns = parse_patterns(args.patterns)
+    if args.n < 0:
+        raise ParseError(f"negative size: {args.n}")
     if args.list:
         members = list(enumeration.generate(args.n, patterns))
         print(len(members))
@@ -150,6 +152,8 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_dist(args) -> int:
+    if args.n < 0:
+        raise ParseError(f"negative size: {args.n}")
     query = enumeration.DistributionQuery(
         n=args.n,
         patterns=parse_patterns(args.patterns),

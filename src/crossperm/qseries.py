@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from functools import cache
+from math import comb
+from typing import TypeVar
 
 from .perms import Perm, as_perm, fmt_patterns
 
@@ -37,7 +39,57 @@ def _format_terms(parts: list[tuple[int, str]]) -> str:
     return " ".join(chunks)
 
 
-class QPoly:
+_P = TypeVar("_P", bound="_Ring")
+
+
+class _Ring:
+    """Operators that QPoly and MultiPoly derive from their own +, * and -x.
+
+    A subclass supplies ``_coerce`` (its own type, or an int as a constant,
+    else NotImplemented), ``__add__``, ``__mul__``, ``__neg__`` and
+    ``_key``, the canonical value that equality and hashing compare.  The
+    unit is ``_coerce(1)``.
+    """
+
+    __slots__ = ()
+
+    def __radd__(self: _P, other: int) -> _P:
+        return self.__add__(other)
+
+    def __rmul__(self: _P, other: int) -> _P:
+        return self.__mul__(other)
+
+    def __sub__(self: _P, other: "_P | int") -> _P:
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else self + (-other)
+
+    def __rsub__(self: _P, other: int) -> _P:
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else other + (-self)
+
+    def __pow__(self: _P, exp: int) -> _P:
+        if exp < 0:
+            raise ValueError(f"negative exponent: {exp}")
+        result, base = self._coerce(1), self
+        while exp:
+            if exp & 1:
+                result = result * base
+            base = base * base
+            exp >>= 1
+        return result
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, int):
+            other = self._coerce(other)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+class QPoly(_Ring):
     """Dense polynomial in q with integer coefficients, lowest power first.
 
     Distribution polynomials have nonnegative coefficients; negatives are
@@ -70,6 +122,9 @@ class QPoly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
+    def _key(self) -> tuple[int, ...]:
+        return self.coeffs
+
     @staticmethod
     def _coerce(value: "QPoly | int") -> "QPoly":
         if isinstance(value, QPoly):
@@ -87,19 +142,8 @@ class QPoly:
             a, b = b, a
         return QPoly(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
 
-    __radd__ = __add__
-
     def __neg__(self) -> "QPoly":
         return QPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "QPoly | int") -> "QPoly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other: int) -> "QPoly":
-        return QPoly((other,)) - self
 
     def __mul__(self, other: "QPoly | int") -> "QPoly":
         other = self._coerce(other)
@@ -114,72 +158,28 @@ class QPoly:
                     out[i + j] += a * b
         return QPoly(out)
 
-    __rmul__ = __mul__
-
-    def __pow__(self, exp: int) -> "QPoly":
-        if exp < 0:
-            raise ValueError(f"negative exponent: {exp}")
-        result = QPoly.one()
-        base = self
-        while exp:
-            if exp & 1:
-                result = result * base
-            base = base * base
-            exp >>= 1
-        return result
-
-    def divexact(self, other: "QPoly | int") -> "QPoly":
-        """Exact polynomial division; a nonzero remainder is an error."""
-        other = self._coerce(other)
-        if not other.coeffs:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quot = [0] * max(len(rem) - len(other.coeffs) + 1, 0)
-        lead = other.coeffs[-1]
-        for k in range(len(quot) - 1, -1, -1):
-            c = rem[k + len(other.coeffs) - 1]
-            if c % lead:
-                raise ValueError("division is not exact")
-            quot[k] = c // lead
-            for j, b in enumerate(other.coeffs):
-                rem[k + j] -= quot[k] * b
-        if any(rem):
-            raise ValueError("division is not exact")
-        return QPoly(quot)
-
     def __call__(self, value: int) -> int:
         out = 0
         for c in reversed(self.coeffs):
             out = out * value + c
         return out
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = QPoly((other,))
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
     def __repr__(self) -> str:
         return f"QPoly({list(self.coeffs)})"
 
-    def text(self, var: str = "q") -> str:
+    def text(self) -> str:
         """Readable form like "11 + 4*q + q^2", zero terms omitted."""
         parts = []
         for k, c in enumerate(self.coeffs):
             if c:
-                mono = "" if k == 0 else var if k == 1 else f"{var}^{k}"
-                parts.append((c, mono))
+                parts.append((c, "" if k == 0 else "q" if k == 1 else f"q^{k}"))
         return _format_terms(parts)
 
     def json_coeffs(self) -> list[int]:
         return list(self.coeffs)
 
 
-class MultiPoly:
+class MultiPoly(_Ring):
     """Sparse polynomial in a fixed tuple of named variables.
 
     Terms map exponent tuples to integer coefficients; zero coefficients
@@ -188,26 +188,17 @@ class MultiPoly:
 
     __slots__ = ("variables", "terms")
 
-    def __init__(
-        self,
-        variables: Sequence[str],
-        terms: Mapping[tuple[int, ...], int] | Iterable[tuple[tuple[int, ...], int]] = (),
-    ) -> None:
+    def __init__(self, variables: Sequence[str], terms: Mapping[tuple[int, ...], int]) -> None:
         self.variables = tuple(variables)
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        data: dict[tuple[int, ...], int] = {}
-        for powers, c in items:
-            key = tuple(powers)
+        for key in terms:
             if len(key) != len(self.variables):
                 raise ValueError(f"exponent tuple {key} does not match {self.variables}")
-            if c:
-                data[key] = data.get(key, 0) + c
-        self.terms = {k: v for k, v in sorted(data.items()) if v}
+        self.terms = {k: c for k, c in sorted(terms.items()) if c}
 
     @classmethod
     def const(cls, variables: Sequence[str], value: int) -> "MultiPoly":
         zero_key = (0,) * len(tuple(variables))
-        return cls(variables, {zero_key: value} if value else {})
+        return cls(variables, {zero_key: value})
 
     @classmethod
     def var(cls, variables: Sequence[str], name: str) -> "MultiPoly":
@@ -226,6 +217,9 @@ class MultiPoly:
             return MultiPoly.const(self.variables, value)
         return NotImplemented  # type: ignore[return-value]
 
+    def _key(self) -> tuple:
+        return self.variables, tuple(self.terms.items())
+
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -238,19 +232,8 @@ class MultiPoly:
             data[k] = data.get(k, 0) + v
         return MultiPoly(self.variables, data)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "MultiPoly":
         return MultiPoly(self.variables, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other: "MultiPoly | int") -> "MultiPoly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other: int) -> "MultiPoly":
-        return MultiPoly.const(self.variables, other) - self
 
     def __mul__(self, other: "MultiPoly | int") -> "MultiPoly":
         other = self._coerce(other)
@@ -262,30 +245,6 @@ class MultiPoly:
                 key = tuple(x + y for x, y in zip(ka, kb))
                 data[key] = data.get(key, 0) + va * vb
         return MultiPoly(self.variables, data)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exp: int) -> "MultiPoly":
-        if exp < 0:
-            raise ValueError(f"negative exponent: {exp}")
-        result = MultiPoly.const(self.variables, 1)
-        base = self
-        while exp:
-            if exp & 1:
-                result = result * base
-            base = base * base
-            exp >>= 1
-        return result
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = MultiPoly.const(self.variables, other)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self.variables == other.variables and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.variables, tuple(self.terms.items())))
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.variables}, {self.terms})"
@@ -397,9 +356,7 @@ class Series:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
-        return self.order == other.order and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs)
-        )
+        return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
@@ -456,7 +413,7 @@ def q_bracket(n: int) -> QPoly:
     return QPoly((1,) * n)
 
 
-def bi_bracket(n: int, variables: Sequence[str] = ("x", "y")) -> MultiPoly:
+def bi_bracket(n: int) -> MultiPoly:
     """[n]_{x,y} = x^(n-1) + x^(n-2) y + ... + y^(n-1); zero for n = 0.
 
     >>> bi_bracket(2).text()
@@ -464,12 +421,10 @@ def bi_bracket(n: int, variables: Sequence[str] = ("x", "y")) -> MultiPoly:
     """
     if n < 0:
         raise ValueError(f"negative bracket: {n}")
-    return MultiPoly(variables, {(n - 1 - t, t): 1 for t in range(n)})
+    return MultiPoly(("x", "y"), {(n - 1 - t, t): 1 for t in range(n)})
 
 
-_catalan_cache: list[MultiPoly] = []
-
-
+@cache
 def catalan_qp(n: int) -> MultiPoly:
     """C_n(q,p) via C_n = C_{n-1} + q * sum p^k C_k C_{n-1-k}, C_0 = C_1 = 1.
 
@@ -478,19 +433,14 @@ def catalan_qp(n: int) -> MultiPoly:
     """
     if n < 0:
         raise ValueError(f"negative index: {n}")
-    table = _catalan_cache
-    if not table:
-        one = MultiPoly.const(QP_VARS, 1)
-        table.extend([one, one])
+    if n <= 1:
+        return MultiPoly.const(QP_VARS, 1)
+    table = [catalan_qp(k) for k in range(n)]
     p = MultiPoly.var(QP_VARS, "p")
-    q = MultiPoly.var(QP_VARS, "q")
-    while len(table) <= n:
-        m = len(table)
-        acc = MultiPoly.const(QP_VARS, 0)
-        for k in range(m - 1):
-            acc = acc + p**k * table[k] * table[m - 1 - k]
-        table.append(table[m - 1] + q * acc)
-    return table[n]
+    acc = MultiPoly.const(QP_VARS, 0)
+    for k in range(n - 1):
+        acc = acc + p**k * table[k] * table[n - 1 - k]
+    return table[n - 1] + MultiPoly.var(QP_VARS, "q") * acc
 
 
 def catalan_crs(n: int) -> QPoly:
@@ -498,9 +448,7 @@ def catalan_crs(n: int) -> QPoly:
     return catalan_qp(n).eval_poly({"q": 1, "p": QPoly.q_power(1)})
 
 
-_inv_cache: list[QPoly] = []
-
-
+@cache
 def inv_dist_321(n: int) -> QPoly:
     """Inversion distribution over 321-avoiders, by its own recurrence.
 
@@ -509,16 +457,13 @@ def inv_dist_321(n: int) -> QPoly:
     """
     if n < 0:
         raise ValueError(f"negative index: {n}")
-    table = _inv_cache
-    if not table:
-        table.extend([QPoly.one(), QPoly.one()])
-    while len(table) <= n:
-        m = len(table)
-        acc = QPoly.zero()
-        for k in range(m - 1):
-            acc = acc + QPoly.q_power(k + 1) * table[k] * table[m - 1 - k]
-        table.append(table[m - 1] + acc)
-    return table[n]
+    if n <= 1:
+        return QPoly.one()
+    table = [inv_dist_321(k) for k in range(n)]
+    acc = QPoly.zero()
+    for k in range(n - 1):
+        acc = acc + QPoly.q_power(k + 1) * table[k] * table[n - 1 - k]
+    return table[n - 1] + acc
 
 
 # ---------------------------------------------------------------------------
@@ -711,11 +656,9 @@ def _dist_321_231(n: int) -> QPoly:
 
 
 def _dist_123_132(n: int) -> QPoly:
-    # ((1+q)^(n-1) - 1 + q)/q, exact by construction
-    if n == 0:
-        return QPoly.one()
-    numer = QPoly((1, 1)) ** (n - 1) - 1 + QPoly.q_power(1)
-    return numer.divexact(QPoly.q_power(1))
+    # ((1+q)^(n-1) - 1 + q)/q, written out as a binomial row
+    return QPoly(comb(n - 1, i) for i in range(1, n)) + 1
+
 
 def _dist_321_132(n: int) -> QPoly:
     # 1 + sum over k of [n-k] evaluated at q^k

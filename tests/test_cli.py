@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -66,6 +70,16 @@ def test_stats_rejects_garbage(capsys):
     assert cli.run(["stats", "4725126"]) == 2
 
 
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "crossperm", "stats", "21"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "sigma = 21" in done.stdout
+
+
 # ---------------------------------------------------------------------------
 # avoid and map
 
@@ -112,6 +126,12 @@ def test_map_gk_infers_position(capsys):
 def test_map_domain_error_exit_code(capsys):
     # theta requires a 321-avoiding input
     assert cli.run(["map", "theta", "321"]) == 3
+
+
+@pytest.mark.parametrize("argv", [["avoid", "-1", "321"], ["dist", "-1", "321", "crs"]])
+def test_negative_size_is_parse_error(capsys, argv):
+    assert cli.run(argv) == 2
+    assert "error: negative size: -1" in capsys.readouterr().err
 
 
 def test_map_unknown_kind_is_parse_error():

@@ -87,13 +87,6 @@ def test_qpoly_trims_trailing_zeros():
     assert QPoly((1, 1, 0)).json_coeffs() == [1, 1]
 
 
-def test_qpoly_divexact():
-    num = QPoly((0, 2, 2))
-    assert num.divexact(QPoly((0, 2))) == QPoly((1, 1))
-    with pytest.raises(ValueError):
-        QPoly((1, 1)).divexact(QPoly((0, 1)))
-
-
 def test_qpoly_eval():
     assert QPoly((1, 4, 4))(1) == 9
     assert QPoly((1, 4, 4))(2) == 25
@@ -107,6 +100,65 @@ def test_multipoly_basics():
     assert (x * y - y * x) == MultiPoly.const(("x", "y"), 0)
     assert (x + y).is_symmetric()
     assert not (x + 2 * y).is_symmetric()
+
+
+# one case per ring: a generator x and the polynomial 1 + x
+RINGS = {
+    "QPoly": (QPoly((0, 1)), QPoly((1, 1))),
+    "MultiPoly": (MultiPoly.var(("x", "y"), "x"), MultiPoly(("x", "y"), {(0, 0): 1, (1, 0): 1})),
+}
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+def test_int_on_the_left(ring):
+    x, one_plus_x = RINGS[ring]
+    assert 1 + x == one_plus_x
+    assert 3 - one_plus_x == 2 - x
+    assert (3 - one_plus_x) + one_plus_x == 3
+    assert 2 * one_plus_x == one_plus_x + one_plus_x
+    assert 0 * x == 0
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+def test_power(ring):
+    x, one_plus_x = RINGS[ring]
+    assert x**0 == 1
+    assert one_plus_x**0 == 1
+    assert one_plus_x**3 == one_plus_x * one_plus_x * one_plus_x
+    with pytest.raises(ValueError, match="negative exponent: -1"):
+        x ** -1
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+def test_equality_and_hash(ring):
+    x, one_plus_x = RINGS[ring]
+    assert one_plus_x - x == 1
+    assert x != 1
+    assert x - x == 0
+    assert one_plus_x == x + 1
+    assert hash(one_plus_x) == hash(x + 1)
+    assert hash(x - x) == hash(0 * one_plus_x)
+    assert len({one_plus_x, x + 1, 1 + x}) == 1
+
+
+def test_qpoly_never_equals_multipoly():
+    for poly in (QPoly.one(), QPoly((0, 1))):
+        for multi in (MultiPoly.const(("q",), 1), MultiPoly.var(("q",), "q")):
+            assert poly != multi
+            assert not poly == multi
+            assert not multi == poly
+
+
+def test_multipoly_rejects_mismatches():
+    x = MultiPoly.var(("x", "y"), "x")
+    q = MultiPoly.var(("q", "p"), "q")
+    for op in (lambda: x + q, lambda: x - q, lambda: x * q):
+        with pytest.raises(ValueError, match="variable mismatch"):
+            op()
+    with pytest.raises(ValueError, match=r"exponent tuple \(1,\) does not match \('x', 'y'\)"):
+        MultiPoly(("x", "y"), {(1,): 1})
+    with pytest.raises(ValueError, match="does not match"):
+        MultiPoly(("x", "y"), {(0, 0): 1, (1, 0, 0): 0})
 
 
 def test_multipoly_eval_poly():
@@ -222,6 +274,17 @@ def test_inv_dist_matches_oracle_and_diagonal():
     for n in range(9):
         diag = catalan_qp(n).eval_poly({"q": q, "p": q})
         assert inv_dist_321(n) == diag, n
+
+
+@pytest.mark.parametrize("recurrence", [catalan_qp, inv_dist_321])
+def test_cached_recurrence_ignores_call_order(recurrence):
+    recurrence.cache_clear()
+    big_first = [recurrence(8), recurrence(3)]
+    recurrence.cache_clear()
+    small_first = [recurrence(3), recurrence(8)][::-1]
+    assert big_first == small_first
+    with pytest.raises(ValueError, match="negative index: -1"):
+        recurrence(-1)
 
 
 # ---------------------------------------------------------------------------
