@@ -15,7 +15,6 @@ from .perms import (
     Perm,
     as_perm,
     avoids,
-    classic_stats,
     contains_pattern,
     crossings,
     crs,
@@ -47,7 +46,6 @@ __all__ = [
     "Perm",
     "as_perm",
     "avoids",
-    "classic_stats",
     "contains_pattern",
     "crossings",
     "crs",

@@ -55,7 +55,7 @@ def as_dyck(word: str) -> DyckPath:
 
 
 # Each public map scans its input once, naming itself in the error; the
-# composites call the unchecked cores (_rsk_two_row, _psi, _theta_recursive).
+# composites call the unchecked cores (_psi, _theta_recursive).
 def _require_avoids(sigma: Perm, tau: Perm, what: str) -> None:
     if contains_pattern(sigma, tau):
         raise ValueError(f"{what} requires a {fmt_perm(tau)}-avoiding input")
@@ -126,10 +126,6 @@ def rsk_two_row(sigma: Perm) -> TableauPair:
     non-excedance positions; the first rows are the complements in order.
     """
     _require_avoids(sigma, (3, 2, 1), "rsk_two_row")
-    return _rsk_two_row(sigma)
-
-
-def _rsk_two_row(sigma: Perm) -> TableauPair:
     n = len(sigma)
     pairs = matching_set(sigma)
     p2 = tuple(v for v, _ in pairs)
@@ -182,10 +178,11 @@ def psi(sigma: Perm) -> DyckPath:
 
 
 def _psi(sigma: Perm) -> DyckPath:
-    tp = _rsk_two_row(sigma)
+    # the second rows of P and Q, read straight off the matching set
+    pairs = matching_set(sigma)
+    row2_p = {v for v, _ in pairs}
+    row2_q = {a for _, a in pairs}
     n = len(sigma)
-    row2_p = set(tp.p_row2)
-    row2_q = set(tp.q_row2)
     left = "".join("d" if i in row2_p else "u" for i in range(1, n + 1))
     right = "".join("u" if j in row2_q else "d" for j in range(n, 0, -1))
     return left + right
@@ -394,8 +391,9 @@ def g_k(sigma: Perm) -> Perm:
 
 
 def theta(sigma: Perm) -> Perm:
-    """Alias for the production formulation."""
-    return theta_recursive(sigma)
+    """The production formulation, theta_recursive, under its own name."""
+    _require_avoids(sigma, (3, 2, 1), "theta")
+    return _theta_recursive(sigma)
 
 
 __all__ = [

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
 from collections.abc import Sequence
+from functools import partial
 
 from . import bijections, enumeration, perms, qseries
 from .perms import Perm, fmt_perm
@@ -30,13 +32,13 @@ class ParseError(Exception):
 # argv payload parsing
 
 
-def parse_perm(tokens: Sequence[str] | str) -> Perm:
+def parse_perm(tokens: Sequence[str]) -> Perm:
     """One-line notation: spaces or commas between values, or compact digits.
 
     Compact form ("24135867") is only readable for n <= 9; larger
     permutations need separators.
     """
-    text = tokens if isinstance(tokens, str) else " ".join(tokens)
+    text = " ".join(tokens)
     parts = text.replace(",", " ").split()
     if not parts:
         raise ParseError("empty permutation")
@@ -74,35 +76,32 @@ def _fmt_pairs(pairs: Sequence[tuple[int, int]]) -> str:
     return " ".join(f"({a},{b})" for a, b in pairs)
 
 
+def _emit(args, payload, lines: list[str]) -> None:
+    """The one output path: the payload as JSON under --json, else the lines."""
+    print(json.dumps(payload, indent=2) if args.json else "\n".join(lines))
+
+
 # ---------------------------------------------------------------------------
 # subcommand bodies
 
 
 def _cmd_stats(args) -> int:
     sigma = parse_perm(args.sigma)
-    stats = perms.classic_stats(sigma)
+    values = {name: stat(sigma) for name, stat in enumeration.STATISTICS.items()}
     crossings = sorted(perms.crossings(sigma))
     nestings = sorted(perms.nestings(sigma))
     payload = {
         "sigma": list(sigma),
-        "crs": len(crossings),
-        "nes": len(nestings),
-        "inv": stats.inv,
-        "exc": stats.exc,
-        "fp": stats.fp,
-        "des": stats.des,
-        "maj": stats.maj,
+        **values,
         "crossings": [list(p) for p in crossings],
         "nestings": [list(p) for p in nestings],
     }
-    if args.json:
-        print(json.dumps(payload, indent=2))
-        return 0
-    print(f"sigma = {fmt_perm(sigma)}")
-    for name in ("crs", "nes", "inv", "exc", "fp", "des", "maj"):
-        print(f"{name} = {payload[name]}")
-    print(f"crossings = {_fmt_pairs(crossings)}")
-    print(f"nestings = {_fmt_pairs(nestings)}")
+    _emit(args, payload, [
+        f"sigma = {fmt_perm(sigma)}",
+        *(f"{name} = {value}" for name, value in values.items()),
+        f"crossings = {_fmt_pairs(crossings)}",
+        f"nestings = {_fmt_pairs(nestings)}",
+    ])
     return 0
 
 
@@ -120,34 +119,28 @@ def _cmd_avoid(args) -> int:
     return 0
 
 
-_MAP_KINDS = ("theta", "theta-inv", "gamma", "rci", "r", "c", "i", "rc", "fk", "gk")
+# map kind -> the map; the order is the order of the argparse choices
+_MAPS = {
+    "theta": bijections.theta,
+    "theta-inv": bijections.theta_inverse,
+    "gamma": bijections.gamma,
+    **{kind: partial(perms.involution, kind=kind) for kind in ("rci", "r", "c", "i", "rc")},
+    "fk": bijections.f_k,
+    "gk": bijections.g_k,
+}
 
 
 def _cmd_map(args) -> int:
-    tokens = list(args.sigma)
-    k = None
-    if args.kind == "fk":
+    tokens, extra = args.sigma, ()
+    if args.kind == "fk":  # f_k takes the position k after the word
         if len(tokens) < 2:
             raise ParseError("map fk needs a permutation followed by k")
         try:
-            k = int(tokens[-1])
+            extra = (int(tokens[-1]),)
         except ValueError:
             raise ParseError(f"not an integer position: {tokens[-1]!r}") from None
         tokens = tokens[:-1]
-    sigma = parse_perm(tokens)
-    if args.kind == "theta":
-        image = bijections.theta(sigma)
-    elif args.kind == "theta-inv":
-        image = bijections.theta_inverse(sigma)
-    elif args.kind == "gamma":
-        image = bijections.gamma(sigma)
-    elif args.kind == "fk":
-        image = bijections.f_k(sigma, k)
-    elif args.kind == "gk":
-        image = bijections.g_k(sigma)
-    else:
-        image = perms.involution(sigma, args.kind)
-    print(fmt_perm(image))
+    print(fmt_perm(_MAPS[args.kind](parse_perm(tokens), *extra)))
     return 0
 
 
@@ -163,24 +156,16 @@ def _cmd_dist(args) -> int:
         j=args.j,
     )
     result = enumeration.distribution(query)
-    if args.json:
-        payload = {
-            "n": query.n,
-            "patterns": [list(p) for p in query.patterns],
-            "statistic": query.statistic,
-            "refinement": query.refinement,
-            "k": query.k,
-            "j": query.j,
-            "count": result.count,
-            "coefficients": result.polynomial.json_coeffs(),
-        }
-        if args.timings:
-            payload["millis"] = round(result.millis, 3)
-        print(json.dumps(payload, indent=2))
-        return 0
-    print(result.polynomial.text())
+    payload = {
+        **dataclasses.asdict(query),  # n, patterns, statistic, refinement, k, j
+        "count": result.count,
+        "coefficients": result.polynomial.json_coeffs(),
+    }
+    lines = [result.polynomial.text()]
     if args.timings:
-        print(f"millis = {round(result.millis, 3)}")
+        payload["millis"] = round(result.millis, 3)
+        lines.append(f"millis = {payload['millis']}")
+    _emit(args, payload, lines)
     return 0
 
 
@@ -201,22 +186,21 @@ def _series_coefficients(
 
 
 def _cmd_series(args) -> int:
-    patterns = parse_patterns(args.patterns)
+    # the pattern set, each pattern once and sorted, as DistributionQuery has it
+    patterns = tuple(sorted(set(parse_patterns(args.patterns))))
     if args.order < 0:
         raise ParseError(f"negative order: {args.order}")
     coeffs, source = _series_coefficients(patterns, args.order)
-    if args.json:
-        payload = {
-            "patterns": [list(p) for p in patterns],
-            "order": args.order,
-            "source": source,
-            "coefficients": [c.json_coeffs() for c in coeffs],
-        }
-        print(json.dumps(payload, indent=2))
-        return 0
-    print(f"source = {source}")
-    for m, c in enumerate(coeffs):
-        print(f"z^{m}: {c.text()}")
+    payload = {
+        "patterns": [list(p) for p in patterns],
+        "order": args.order,
+        "source": source,
+        "coefficients": [c.json_coeffs() for c in coeffs],
+    }
+    _emit(args, payload, [
+        f"source = {source}",
+        *(f"z^{m}: {c.text()}" for m, c in enumerate(coeffs)),
+    ])
     return 0
 
 
@@ -267,17 +251,16 @@ def _cmd_check(args) -> int:
         raise ParseError(f"negative cap: {n_max}")
     report = enumeration.verify(args.suite, n_max, include_timings=args.timings)
     failures = sum(1 for c in report["checks"] if c["status"] != "pass")
-    if args.json:
-        print(json.dumps(report, indent=2))
-        return 1 if failures else 0
+    lines = []
     for c in report["checks"]:
         line = f"[{'pass' if c['status'] == 'pass' else 'FAIL'}] {c['name']} (n={c['n']})"
         if "counterexample" in c:
             line += f" counterexample: {c['counterexample']}"
         if "millis" in c:
             line += f" [{c['millis']} ms]"
-        print(line)
-    print(f"{report['suite']}: {len(report['checks']) - failures} passed, {failures} failed")
+        lines.append(line)
+    lines.append(f"{report['suite']}: {len(report['checks']) - failures} passed, {failures} failed")
+    _emit(args, report, lines)
     return 1 if failures else 0
 
 
@@ -408,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_avoid)
 
     p = sub.add_parser("map", help="apply a bijection or symmetry")
-    p.add_argument("kind", choices=_MAP_KINDS)
+    p.add_argument("kind", choices=tuple(_MAPS))
     p.add_argument("sigma", nargs="+", help="permutation (fk takes a trailing k)")
     p.set_defaults(fn=_cmd_map)
 

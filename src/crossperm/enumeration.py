@@ -142,6 +142,8 @@ class DistributionQuery:
             raise ValueError(f"refinement 'both' needs j in 1..{self.n}")
         if not needs_k and (self.k is not None or self.j is not None):
             raise ValueError("k/j are only meaningful with a refinement")
+        if self.j is not None and self.refinement != "both":
+            raise ValueError("j is only meaningful with refinement 'both'")
 
     def admits(self, sigma: Perm) -> bool:
         if self.refinement == "none":

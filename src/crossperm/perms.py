@@ -25,7 +25,6 @@ own.  `crs(4735126) == 3` and `nes(4735126) == 3` pin this convention down.
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Callable, Iterable, Sequence
 from functools import cache
 from math import inf
@@ -272,15 +271,6 @@ def nes(sigma: Perm) -> int:
 # classic statistics
 
 
-@dataclasses.dataclass(frozen=True)
-class ClassicStats:
-    exc: int  # positions with sigma(i) > i
-    fp: int  # fixed points
-    des: int  # descents sigma(i) > sigma(i+1)
-    inv: int  # inversions
-    maj: int  # major index, sum of descent positions
-
-
 def exc(sigma: Perm) -> int:
     return sum(1 for i, v in enumerate(sigma, start=1) if v > i)
 
@@ -302,10 +292,6 @@ def inv(sigma: Perm) -> int:
 
 def maj(sigma: Perm) -> int:
     return sum(i for i, (a, b) in enumerate(zip(sigma, sigma[1:]), start=1) if a > b)
-
-
-def classic_stats(sigma: Perm) -> ClassicStats:
-    return ClassicStats(exc(sigma), fp(sigma), des(sigma), inv(sigma), maj(sigma))
 
 
 # ---------------------------------------------------------------------------

@@ -195,8 +195,9 @@ def test_criterion_10_symmetry_and_decomposition():
         joint = joint_distribution(n, (), ("crs", "nes"), variables=("x", "y"))
         assert joint.is_symmetric(), n
         for sigma in generate(n, ()):
-            stats = perms.classic_stats(sigma)
-            assert perms.crs(sigma) == stats.inv - stats.exc - 2 * perms.nes(sigma)
+            assert perms.crs(sigma) == (
+                perms.inv(sigma) - perms.exc(sigma) - 2 * perms.nes(sigma)
+            )
     # theta swaps direct sums for direct products (factors reversed)
     for total in range(2, 9):
         for a in range(1, total):

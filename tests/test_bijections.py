@@ -220,7 +220,7 @@ def test_gamma_preserves_fp_exc_crs_triple():
         assert images == set(avoiders(n, (1, 3, 2)))
 
 
-@pytest.mark.parametrize("name", ["theta_pipeline", "gamma"])
+@pytest.mark.parametrize("name", ["theta", "theta_pipeline", "gamma"])
 def test_composite_maps_scan_once_and_name_themselves(name, monkeypatch):
     fn = getattr(bijections, name)
     with pytest.raises(ValueError, match=f"^{name} requires a 321-avoiding input$"):

@@ -172,6 +172,12 @@ def test_dist_refined(capsys):
     assert out.strip() == "5 + 10*q + 7*q^2 + 2*q^3"
 
 
+def test_dist_j_without_both_is_domain_error(capsys):
+    argv = ["dist", "5", "321", "crs", "--refine", "one-at", "--k", "2", "--j", "9"]
+    assert cli.run(argv) == 3
+    assert "error: j is only meaningful with refinement 'both'" in capsys.readouterr().err
+
+
 def test_dist_timings_opt_in(capsys):
     out = run_ok(capsys, ["dist", "3", "321", "crs", "--timings"])
     assert "millis = " in out
@@ -207,6 +213,12 @@ def test_series_json(capsys):
     )
     assert payload["source"] == "closed-form"
     assert payload["coefficients"] == [[1], [1], [2], [3, 1]]
+
+
+@pytest.mark.parametrize("typed", ["321,231", "321,231,321"])
+def test_series_json_lists_the_sorted_pattern_set(capsys, typed):
+    payload = json.loads(run_ok(capsys, ["series", typed, "--order", "2", "--json"]))
+    assert payload["patterns"] == [[2, 3, 1], [3, 2, 1]]
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,9 @@ def test_distribution_tail_refinement():
         dict(n=3, refinement="one-at", k=4),
         dict(n=3, refinement="both", k=1),
         dict(n=3, k=2),
+        dict(n=3, refinement="one-at", k=2, j=1),
+        dict(n=3, refinement="last", k=2, j=1),
+        dict(n=3, refinement="tail", k=2, j=1),
     ],
 )
 def test_distribution_query_validation(kwargs):
@@ -235,9 +238,20 @@ def refinement_cases(n):
             yield "both", k, j
 
 
+# the refinements of DistributionQuery, written out again for the reference
+REFERENCE_FILTERS = {
+    "none": lambda s, k, j: True,
+    "one-at": lambda s, k, j: s[k - 1] == 1,
+    "last": lambda s, k, j: s[-1] == k,
+    "both": lambda s, k, j: s[k - 1] == 1 and s[-1] == j,
+    "tail": lambda s, k, j: s[len(s) - k:] == tuple(range(k, 0, -1)),
+}
+
+
 def test_aggregator_matches_naive_reference():
-    # the reference counts over generate filtered by admits, sharing nothing
-    # with the cached tally behind distribution and joint_distribution
+    # the reference counts over generate filtered by its own predicates,
+    # sharing nothing with the cached tally behind distribution and
+    # joint_distribution, nor with the query's admits that the tally filters by
     names = list(enumeration.STATISTICS)
     for n in range(7):
         for patterns in AGGREGATOR_CLASSES:
@@ -246,7 +260,8 @@ def test_aggregator_matches_naive_reference():
                       for s in members}
             for refinement, k, j in refinement_cases(n):
                 query = DistributionQuery(n, patterns, refinement=refinement, k=k, j=j)
-                kept = [s for s in members if query.admits(s)]
+                keep = REFERENCE_FILTERS[refinement]
+                kept = [s for s in members if keep(s, k, j)]
                 for st in names:
                     want = Counter(values[s][st] for s in kept)
                     top = max(want, default=-1)

@@ -10,19 +10,23 @@ from crossperm.perms import (
     alpha_k,
     as_perm,
     avoids,
-    classic_stats,
     contains_pattern,
     crossings,
     crs,
     crs_star,
+    des,
     direct_product,
     direct_sum,
+    exc,
+    fp,
     identity,
     insert,
+    inv,
     inverse,
     involution,
     lt_set,
     lt_stat,
+    maj,
     nes,
     nestings,
     prepend_sets,
@@ -129,8 +133,7 @@ def test_identity_has_no_arcs_crossing():
 
 @given(perm_strategy)
 def test_crs_equals_inv_minus_exc_minus_two_nes(sigma):
-    stats = classic_stats(sigma)
-    assert crs(sigma) == stats.inv - stats.exc - 2 * nes(sigma)
+    assert crs(sigma) == inv(sigma) - exc(sigma) - 2 * nes(sigma)
 
 
 @given(perm_strategy)
@@ -144,12 +147,12 @@ def test_crs_invariant_under_rci(sigma):
 
 
 def test_classic_stats_golden():
-    stats = classic_stats((4, 7, 3, 5, 1, 2, 6))
-    assert stats.inv == 12
-    assert stats.exc == 3
-    assert stats.fp == 1
-    assert stats.des == 2
-    assert stats.maj == 2 + 4
+    sigma = (4, 7, 3, 5, 1, 2, 6)
+    assert inv(sigma) == 12
+    assert exc(sigma) == 3
+    assert fp(sigma) == 1
+    assert des(sigma) == 2
+    assert maj(sigma) == 2 + 4
 
 
 # ---------------------------------------------------------------------------
