@@ -54,10 +54,11 @@ def as_dyck(word: str) -> DyckPath:
     return word
 
 
-# Each public map scans its input once, naming itself in the error; the
-# composites call the unchecked cores (_psi, _theta_recursive).
+# Each public map checks that its input is a permutation and scans it once,
+# naming itself in the error; the composites call the unchecked cores
+# (_psi, _theta_recursive).
 def _require_avoids(sigma: Perm, tau: Perm, what: str) -> None:
-    if contains_pattern(sigma, tau):
+    if contains_pattern(as_perm(sigma), tau):
         raise ValueError(f"{what} requires a {fmt_perm(tau)}-avoiding input")
 
 
@@ -369,7 +370,7 @@ def f_k(sigma: Perm, k: int) -> Perm:
     >>> f_k((2, 1, 3), 4)
     (3, 2, 4, 1)
     """
-    n = len(sigma) + 1
+    n = len(as_perm(sigma)) + 1
     if not 1 <= k <= n:
         raise ValueError(f"k out of range: {k}")
     return insert(inverse(sigma), k, 1)

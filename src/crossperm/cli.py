@@ -42,13 +42,14 @@ def parse_perm(tokens: Sequence[str]) -> Perm:
     parts = text.replace(",", " ").split()
     if not parts:
         raise ParseError("empty permutation")
-    if len(parts) == 1 and parts[0].isdigit() and len(parts[0]) > 1:
-        values = [int(ch) for ch in parts[0]]
-    else:
-        try:
+    # str.isdigit admits digits that int rejects, such as the superscript 2
+    try:
+        if len(parts) == 1 and parts[0].isdigit() and len(parts[0]) > 1:
+            values = [int(ch) for ch in parts[0]]
+        else:
             values = [int(p) for p in parts]
-        except ValueError:
-            raise ParseError(f"not a permutation word: {text!r}") from None
+    except ValueError:
+        raise ParseError(f"not a permutation word: {text!r}") from None
     try:
         return perms.as_perm(values)
     except ValueError as exc:

@@ -2,16 +2,15 @@
 
 Generation walks the prefix tree in lexicographic order and never builds a
 prefix that contains a forbidden pattern.  Each node carries the mask of
-letters already used and, for every pattern, the completion mask of
-`perms.completion_rule` (the letters whose appending would complete an
-occurrence); a node's children are its free letters outside every such
-mask, lowest first.
+letters already used and one completion mask: the letters whose appending
+would complete an occurrence of some pattern, the union of the masks of
+`perms.completion_rule`.  A node's children are its free letters outside
+both masks, lowest first.
 
 Aggregation is one fold over S_n(T).  The tally (`_tally`) counts the
-members that a refinement admits by a tuple of column values, once per
-(class, columns, refinement) in a process; `distribution`,
-`joint_distribution` and the crossing distributions of the check suites
-are all read from it.
+members that a query admits by a tuple of column values, once per (query,
+columns) in a process; `distribution`, `joint_distribution` and the
+crossing distributions of the check suites are all read from it.
 
 A check is one decorated function that names its suite, its name, its
 default cap and its first n.  One driver (`_each_n`) scans n = start..cap
@@ -31,7 +30,7 @@ import time
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from functools import cache
-from itertools import combinations, permutations, tee
+from itertools import combinations, permutations
 from math import comb, inf
 from types import MappingProxyType
 
@@ -65,12 +64,10 @@ def _walk(n: int, pats: tuple[Perm, ...]) -> Iterator[Perm]:
     full = (1 << (n + 1)) - 2
     word: list[int] = []
 
-    def extend(used: int, masks: list[int]) -> Iterator[Perm]:
+    def extend(used: int, mask: int) -> Iterator[Perm]:
         t = len(word)
-        free = full & ~used
-        for mask in masks:
-            free &= ~mask
-        if t == n - 1:  # one letter is left; no masks are needed after it
+        free = full & ~used & ~mask
+        if t == n - 1:  # one letter is left; no mask is needed after it
             if free:
                 yield (*word, free.bit_length() - 1)
             return
@@ -78,11 +75,16 @@ def _walk(n: int, pats: tuple[Perm, ...]) -> Iterator[Perm]:
             low = free & -free
             free ^= low
             word.append(low.bit_length() - 1)
-            children = [step(mask, word, t, used) for step, mask in zip(steps, masks)]
-            yield from extend(used | low, children)
+            child = mask
+            for step in steps:
+                child |= step(word, t, used)
+            yield from extend(used | low, child)
             word.pop()
 
-    return extend(0, [start for start, _ in rules])
+    start = 0
+    for mask, _ in rules:
+        start |= mask
+    return extend(0, start)
 
 
 # ---------------------------------------------------------------------------
@@ -164,28 +166,21 @@ class DistributionResult:
     millis: float
 
 
-# (refinement, k, j) of a query that keeps the whole class
-_WHOLE = ("none", None, None)
-
 _Tally = Mapping[tuple[int, ...], int]
 
 
 @cache
-def _tally(n: int, pats: tuple[Perm, ...], columns: tuple[str, ...], refinement) -> _Tally:
-    """Column values -> the number of members of S_n(pats) with them.
+def _tally(query: DistributionQuery, columns: tuple[str, ...]) -> _Tally:
+    """Column values -> the number of members of the query's class with them.
 
-    Only the members that the refinement (name, k, j) admits are counted,
-    and they are filtered before any column is evaluated.  The result is
-    cached, so it is handed out read-only.
+    Only the members that the query admits are counted, and they are
+    filtered before any column is evaluated; the query's `statistic` is not
+    read, the columns name what is counted.  One walk, and the class is
+    never held.  The result is cached, so it is handed out read-only.
     """
     fns = [_COLUMNS[column] for column in columns]
-    name, k, j = refinement
-    admits = DistributionQuery(n, pats, refinement=name, k=k, j=j).admits
-    # every column maps its own copy of one stream of members, and zip joins
-    # the values member by member: one walk, and the class is never held
-    copies = tee(filter(admits, generate(n, pats)), len(fns))
-    counts = Counter(zip(*[map(f, members) for f, members in zip(fns, copies)]))
-    return MappingProxyType(counts)
+    members = filter(query.admits, generate(query.n, query.patterns))
+    return MappingProxyType(Counter(tuple([f(s) for f in fns]) for s in members))
 
 
 def _qpoly(tally: _Tally) -> QPoly:
@@ -197,8 +192,7 @@ def _qpoly(tally: _Tally) -> QPoly:
 def distribution(query: DistributionQuery) -> DistributionResult:
     """Sum q^{stat(sigma)} over the queried class, by enumeration."""
     start = time.perf_counter()
-    refinement = (query.refinement, query.k, query.j)
-    tally = _tally(query.n, query.patterns, (query.statistic,), refinement)
+    tally = _tally(query, (query.statistic,))
     return DistributionResult(
         polynomial=_qpoly(tally),
         count=sum(tally.values()),
@@ -224,8 +218,9 @@ def joint_distribution(
     for stat in stats:
         if stat not in STATISTICS:
             raise ValueError(f"unknown statistic: {stat!r}")
-    pats = tuple(sorted({as_perm(p) for p in patterns}))
-    return MultiPoly(names, dict(_tally(n, pats, tuple(stats), _WHOLE)))
+    # keyed like the one-column tally of distribution(), so the two share it
+    query = DistributionQuery(n, patterns, stats[0])
+    return MultiPoly(names, dict(_tally(query, tuple(stats))))
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +231,7 @@ def _crs_cells(n: int, pats: tuple[Perm, ...], axis: int | None) -> tuple[QPoly,
     # axis None: the whole class; 0: index k-1 holds the sigma(k) = 1 slice;
     # 1: index k-1 holds the sigma(n) = k slice
     cells = [Counter() for _ in range(1 if axis is None else n)]
-    for key, count in _tally(n, pats, ("one", "last", "crs"), _WHOLE).items():
+    for key, count in _tally(DistributionQuery(n, pats), ("one", "last", "crs")).items():
         cells[0 if axis is None else key[axis] - 1][key[2],] += count
     return tuple(map(_qpoly, cells))
 

@@ -105,29 +105,32 @@ def fmt_patterns(patterns: Sequence[Sequence[int]]) -> str:
 # One rule serves containment and the generation walk.  Read a word letter
 # by letter and carry its completion mask for tau: bit x is set when
 # appending the letter x would complete an occurrence of tau.  Appending v
-# adds exactly the occurrences of tau[:-1] that end at v, and each one lets
-# tau's last letter take every value strictly between its letters of rank
-# tau[-1]-1 and tau[-1]+1 (an open interval of values).
+# adds exactly the occurrences of tau[:-1] that end at v, and each one opens
+# for tau's last letter every value strictly between its letters of rank
+# tau[-1]-1 and tau[-1]+1 (an open interval of values).  The step returns
+# the letters that v opens, and the reader ORs them into its mask; a mask
+# for several patterns is the OR of theirs.
 
 
 @cache
 def completion_rule(
     tau: Perm,
-) -> tuple[int, Callable[[int, Sequence[int], int, int], int]]:
+) -> tuple[int, Callable[[Sequence[int], int, int], int]]:
     """The letters whose appending to a word completes an occurrence of tau.
 
     Returns (start, step).  `start` is the completion mask of the empty
-    word; step(mask, word, t, used) takes the mask of word[:t], with `used`
-    holding bit x for each letter x of word[:t], and returns the mask of
-    word[:t+1].  For |tau| = 3 the intervals opened by the occurrences of
-    tau[:-1] ending at the new letter nest, so the step reads only the
-    smallest or the largest earlier letter on the right side of it; for
-    other lengths a DFS lists those occurrences, placing tau's roles one by
-    one inside the value bounds set by the roles already placed.
+    word; step(word, t, used), with `used` holding bit x for each letter x
+    of word[:t], returns the letters that word[t] opens, so the mask of
+    word[:t+1] is the mask of word[:t] OR'd with it.  For |tau| = 3 the
+    intervals opened by the occurrences of tau[:-1] ending at the new letter
+    nest, so the step reads only the smallest or the largest earlier letter
+    on the right side of it; for other lengths a DFS lists those
+    occurrences, placing tau's roles one by one inside the value bounds set
+    by the roles already placed.
 
     >>> start, step = completion_rule((1, 3, 2))
     >>> word = (2, 5)
-    >>> mask = step(step(start, word, 0, 0), word, 1, 1 << 2)
+    >>> mask = start | step(word, 0, 0) | step(word, 1, 1 << 2)
     >>> [x for x in range(1, 7) if mask >> x & 1]
     [3, 4]
     """
@@ -136,7 +139,7 @@ def completion_rule(
     if m == 0:
         raise ValueError("the empty pattern has no completion rule")
     if m == 1:  # every letter completes tau, from the empty word on
-        return -2, lambda mask, word, t, used: mask
+        return -2, lambda word, t, used: 0
     # An occurrence of tau[:-1] is held as its m-1 letters in role order,
     # the new letter last; these roles bound the value of tau's last letter.
     r = tau[-1]
@@ -151,15 +154,15 @@ def completion_rule(
     if m == 3:
         rising = tau[0] < tau[1]
 
-        def step3(mask: int, word: Sequence[int], t: int, used: int) -> int:
+        def step3(word: Sequence[int], t: int, used: int) -> int:
             v = word[t]
             side = used & ((1 << v) - 1) if rising else used & (-2 << v)
             if not side:
-                return mask
+                return 0
             # the widest interval: the smallest first letter when it is the
             # lower bound, else the largest
             u = (side & -side if lo_role == 0 else side).bit_length() - 1
-            return mask | opened((u, v))
+            return opened((u, v))
 
         return 0, step3
 
@@ -175,23 +178,22 @@ def completion_rule(
         below.append(max(lower, key=tau.__getitem__, default=None))
         above.append(min(upper, key=tau.__getitem__, default=None))
 
-    def step(mask: int, word: Sequence[int], t: int, used: int) -> int:
+    def step(word: Sequence[int], t: int, used: int) -> int:
         occ = [0] * head + [word[t]]
 
-        def place(i: int, start: int) -> None:
-            nonlocal mask
+        def place(i: int, start: int) -> int:
             if i == head:
-                mask |= opened(occ)
-                return
+                return opened(occ)
             lo = occ[below[i]] if below[i] is not None else 0
             hi = occ[above[i]] if above[i] is not None else inf
+            bits = 0
             for p in range(start, t - head + i + 1):
                 if lo < word[p] < hi:
                     occ[i] = word[p]
-                    place(i + 1, p + 1)
+                    bits |= place(i + 1, p + 1)
+            return bits
 
-        place(0, 0)
-        return mask
+        return place(0, 0)
 
     return 0, step
 
@@ -212,7 +214,7 @@ def contains_pattern(sigma: Perm, tau: Perm) -> bool:
     for t, v in enumerate(sigma):
         if mask >> v & 1:
             return True
-        mask = step(mask, sigma, t, used)
+        mask |= step(sigma, t, used)
         used |= 1 << v
     return False
 

@@ -234,6 +234,20 @@ def test_composite_maps_scan_once_and_name_themselves(name, monkeypatch):
     assert scans == [(3, 2, 1)]
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["theta", "theta_recursive", "theta_pipeline", "theta_inverse", "gamma",
+     "psi", "rsk_two_row", "phi", "f_k"],
+)
+@pytest.mark.parametrize("word", [(3,), (2, 3), (0, 1), (1, 1)])
+def test_public_maps_reject_non_permutations(name, word):
+    # f_k takes k = 1, which every length fits
+    fn = getattr(bijections, name)
+    args = (word, 1) if name == "f_k" else (word,)
+    with pytest.raises(ValueError, match=r"^not a permutation of 1\.\."):
+        fn(*args)
+
+
 def test_f_k_golden():
     assert f_k((2, 1, 3), 4) == (3, 2, 4, 1)
     assert f_k((), 1) == (1,)

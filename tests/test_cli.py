@@ -25,6 +25,8 @@ def test_parse_perm_forms():
     assert cli.parse_perm(["4", "7", "3", "5", "1", "2", "6"]) == (4, 7, 3, 5, 1, 2, 6)
     assert cli.parse_perm(["10,2,1,3,4,5,6,7,8,9"]) == (10, 2, 1, 3, 4, 5, 6, 7, 8, 9)
     assert cli.parse_perm(["1"]) == (1,)
+    # compact digits that int reads, ASCII or not
+    assert cli.parse_perm(["١٢"]) == (1, 2)
 
 
 def test_parse_perm_errors():
@@ -32,6 +34,9 @@ def test_parse_perm_errors():
         cli.parse_perm(["4725126"])
     with pytest.raises(cli.ParseError):
         cli.parse_perm(["abc"])
+    # str.isdigit holds for the superscript 2, but int rejects it
+    with pytest.raises(cli.ParseError, match="^not a permutation word: '1²'$"):
+        cli.parse_perm(["1²"])
 
 
 def test_parse_patterns():
@@ -132,6 +137,12 @@ def test_map_domain_error_exit_code(capsys):
 def test_negative_size_is_parse_error(capsys, argv):
     assert cli.run(argv) == 2
     assert "error: negative size: -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["stats", "1²"], ["map", "theta", "2²1"]])
+def test_non_ascii_digit_word_is_parse_error(capsys, argv):
+    assert cli.run(argv) == 2
+    assert "error: not a permutation word: " in capsys.readouterr().err
 
 
 def test_map_unknown_kind_is_parse_error():

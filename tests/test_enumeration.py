@@ -49,6 +49,11 @@ def reference_class(n, patterns):
         ((2, 1),),
         ((3, 2, 1), (2, 3, 1)),
         ((1, 2, 3, 4),),
+        # mixed lengths: one walk unites a length-3 rule with a length-4 DFS
+        # rule or with a length-2 rule
+        ((3, 2, 1), (1, 3, 2, 4)),
+        ((2, 1, 3), (4, 2, 3, 1)),
+        ((2, 1), (1, 2, 3)),
     ],
 )
 def test_generate_matches_reference(patterns):
@@ -90,6 +95,39 @@ def test_generate_catalan_sizes():
 def test_generate_rejects_bad_patterns():
     with pytest.raises(ValueError):
         list(generate(3, ((1, 1),)))
+
+
+@pytest.mark.parametrize(
+    "n, patterns, calls",
+    [
+        (10, ((3, 2, 1),), 206394),
+        (12, ((1, 2, 3), (3, 1, 2)), 143224),
+        (12, ((2, 3, 1), (3, 1, 2)), 527344),
+        (8, ((1, 3, 2, 4),), 44238),
+    ],
+)
+def test_generate_step_calls_are_pinned(monkeypatch, n, patterns, calls):
+    """The completion-rule steps one full walk calls, one per pattern and node.
+
+    A change to the walk that visits other nodes shows here.  The live walk
+    of ROADMAP item 1, which skips the children without a completion, will
+    change these numbers on purpose.
+    """
+    count = Counter()
+    real = perms.completion_rule
+
+    def counting_rule(tau):
+        start, step = real(tau)
+
+        def counted(*args):
+            count["step"] += 1
+            return step(*args)
+
+        return start, counted
+
+    monkeypatch.setattr(perms, "completion_rule", counting_rule)
+    list(generate(n, patterns))
+    assert count["step"] == calls
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +463,13 @@ def test_joint_distribution_walks_once_whatever_the_variable_names(walks):
     assert walks == {(5, ()): 1}
     assert first.variables == ("q", "p") and second.variables == ("x", "y")
     assert first.evaluate(q=1, p=1) == second.evaluate(x=1, y=1) == 120
+
+
+def test_one_statistic_joint_and_distribution_share_a_walk(walks):
+    joint = joint_distribution(5, ((3, 2, 1),), ("nes",))
+    dist = distribution(DistributionQuery(5, ((3, 2, 1),), "nes"))
+    assert joint.evaluate(q=1) == dist.count == 42
+    assert walks == {(5, ((3, 2, 1),)): 1}
 
 
 def test_verify_unknown_suite():
