@@ -8,9 +8,12 @@ would complete an occurrence of some pattern, the union of the masks of
 both masks, lowest first.
 
 Aggregation is one fold over S_n(T).  The tally (`_tally`) counts the
-members that a query admits by a tuple of column values, once per (query,
-columns) in a process; `distribution`, `joint_distribution` and the
-crossing distributions of the check suites are all read from it.
+members by the key (one, last, tail, *statistics), once per (class,
+statistics) in a process.  A refinement is a predicate on the key's first
+three columns (`DistributionQuery.keeps`), so no member is filtered before
+the tally: `distribution` keeps the keys that its query accepts,
+`joint_distribution` drops the three columns, and the crossing
+distributions of the check suites are `distribution`'s (`_crs`).
 
 A check is one decorated function that names its suite, its name, its
 default cap and its first n.  One driver (`_each_n`) scans n = start..cap
@@ -100,15 +103,18 @@ STATISTICS = {
     "maj": perms.maj,
 }
 
-# the tally's columns: the statistics, and the position of value 1 and the
-# last value that the check suites slice by (both 0 on the empty permutation)
-_COLUMNS = {
-    **STATISTICS,
-    "one": lambda s: s.index(1) + 1 if s else 0,
-    "last": lambda s: s[-1] if s else 0,
-}
-
 REFINEMENTS = ("none", "one-at", "last", "both", "tail")
+
+
+def _frame(s: Perm) -> tuple[int, int, int]:
+    # the tally key's leading columns (one, last, tail): the position of 1, the
+    # last value, and the largest t with s(n+1-i) = i for every i <= t
+    if not s:
+        return 0, 0, 0
+    tail = 0
+    while tail < len(s) and s[-1 - tail] == tail + 1:
+        tail += 1
+    return s.index(1) + 1, s[-1], tail
 
 
 @dataclasses.dataclass(frozen=True)
@@ -147,16 +153,20 @@ class DistributionQuery:
         if self.j is not None and self.refinement != "both":
             raise ValueError("j is only meaningful with refinement 'both'")
 
-    def admits(self, sigma: Perm) -> bool:
-        if self.refinement == "none":
-            return True
+    def keeps(self, one: int, last: int, tail: int) -> bool:
+        """The refinement, as a predicate on the leading columns of a tally key."""
         if self.refinement == "one-at":
-            return sigma[self.k - 1] == 1
+            return one == self.k
         if self.refinement == "last":
-            return sigma[-1] == self.k
+            return last == self.k
         if self.refinement == "both":
-            return sigma[self.k - 1] == 1 and sigma[-1] == self.j
-        return all(sigma[self.n - i] == i for i in range(1, self.k + 1))
+            return one == self.k and last == self.j
+        if self.refinement == "tail":
+            return tail >= self.k
+        return True
+
+    def admits(self, sigma: Perm) -> bool:
+        return self.keeps(*_frame(sigma))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -166,36 +176,32 @@ class DistributionResult:
     millis: float
 
 
-_Tally = Mapping[tuple[int, ...], int]
-
-
 @cache
-def _tally(query: DistributionQuery, columns: tuple[str, ...]) -> _Tally:
-    """Column values -> the number of members of the query's class with them.
+def _tally(
+    n: int, patterns: tuple[Perm, ...], statistics: tuple[str, ...]
+) -> Mapping[tuple[int, ...], int]:
+    """(one, last, tail, *statistics) -> the number of members of S_n(patterns).
 
-    Only the members that the query admits are counted, and they are
-    filtered before any column is evaluated; the query's `statistic` is not
-    read, the columns name what is counted.  One walk, and the class is
-    never held.  The result is cached, so it is handed out read-only.
+    One walk, and the class is never held.  The result is cached, so it is
+    handed out read-only.
     """
-    fns = [_COLUMNS[column] for column in columns]
-    members = filter(query.admits, generate(query.n, query.patterns))
-    return MappingProxyType(Counter(tuple([f(s) for f in fns]) for s in members))
-
-
-def _qpoly(tally: _Tally) -> QPoly:
-    """Sum q^v over a one-column tally {(v,): count}."""
-    top = max(tally, default=(-1,))[0]
-    return QPoly(tally.get((v,), 0) for v in range(top + 1))
+    fns = [STATISTICS[name] for name in statistics]
+    return MappingProxyType(
+        Counter((*_frame(s), *[f(s) for f in fns]) for s in generate(n, patterns))
+    )
 
 
 def distribution(query: DistributionQuery) -> DistributionResult:
     """Sum q^{stat(sigma)} over the queried class, by enumeration."""
     start = time.perf_counter()
-    tally = _tally(query, (query.statistic,))
+    cells = Counter()
+    tally = _tally(query.n, query.patterns, (query.statistic,))
+    for (one, last, tail, value), count in tally.items():
+        if query.keeps(one, last, tail):
+            cells[value] += count
     return DistributionResult(
-        polynomial=_qpoly(tally),
-        count=sum(tally.values()),
+        polynomial=QPoly(cells[v] for v in range(max(cells, default=-1) + 1)),
+        count=sum(cells.values()),
         millis=(time.perf_counter() - start) * 1000.0,
     )
 
@@ -218,34 +224,17 @@ def joint_distribution(
     for stat in stats:
         if stat not in STATISTICS:
             raise ValueError(f"unknown statistic: {stat!r}")
-    # keyed like the one-column tally of distribution(), so the two share it
-    query = DistributionQuery(n, patterns, stats[0])
-    return MultiPoly(names, dict(_tally(query, tuple(stats))))
+    query = DistributionQuery(n, patterns)
+    joint = Counter()
+    for key, count in _tally(query.n, query.patterns, tuple(stats)).items():
+        joint[key[3:]] += count
+    return MultiPoly(names, joint)
 
 
-# ---------------------------------------------------------------------------
-# the crossing distributions of the check suites, all marginals of one tally
-
-
-def _crs_cells(n: int, pats: tuple[Perm, ...], axis: int | None) -> tuple[QPoly, ...]:
-    # axis None: the whole class; 0: index k-1 holds the sigma(k) = 1 slice;
-    # 1: index k-1 holds the sigma(n) = k slice
-    cells = [Counter() for _ in range(1 if axis is None else n)]
-    for key, count in _tally(DistributionQuery(n, pats), ("one", "last", "crs")).items():
-        cells[0 if axis is None else key[axis] - 1][key[2],] += count
-    return tuple(map(_qpoly, cells))
-
-
-def _crs_total(n: int, pats: tuple[Perm, ...]) -> QPoly:
-    return _crs_cells(n, pats, None)[0]
-
-
-def _crs_by_first(n: int, pats: tuple[Perm, ...]) -> tuple[QPoly, ...]:
-    return _crs_cells(n, pats, 0)
-
-
-def _crs_by_last(n: int, pats: tuple[Perm, ...]) -> tuple[QPoly, ...]:
-    return _crs_cells(n, pats, 1)
+def _crs(n: int, pats: tuple[Perm, ...], refinement: str = "none",
+         k: int | None = None) -> QPoly:
+    # the crossing distributions that the check suites compare
+    return distribution(DistributionQuery(n, pats, "crs", refinement, k)).polynomial
 
 
 _PATTERNS3 = ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1))
@@ -403,10 +392,7 @@ def _insert_front(s: Perm) -> bool | str:
 @_law("perm-lemmas", "tail-fixed-insert", 7, start=1)
 def _tail_fixed_insert(s: Perm) -> bool | str:
     # sigma with sigma(n+1-i) = i for i <= k: prepending k+1 adds min(k-1, n-k)
-    n = len(s)
-    t = 0
-    while t < n and s[n - 1 - t] == t + 1:
-        t += 1
+    n, t = len(s), _frame(s)[2]
     base = perms.crs(s)
     for k in range(1, t + 1):
         if perms.crs(perms.insert(s, 1, k + 1)) != base + min(k - 1, n - k):
@@ -595,7 +581,7 @@ def _g_laws(s: Perm) -> bool:
 def _chk_one_at_end(n: int) -> str | None:
     pat312 = ((3, 1, 2),)
     pat231 = ((2, 3, 1),)
-    if _crs_by_first(n, pat312)[n - 1] != _crs_total(n - 1, pat231):
+    if _crs(n, pat312, "one-at", n) != _crs(n - 1, pat231):
         return ": distribution mismatch"
     image = {bijections.f_k(s, n) for s in generate(n - 1, pat231)}
     target = {s for s in generate(n, pat312) if s[n - 1] == 1}
@@ -619,7 +605,7 @@ def _chk_catalan_sizes(n: int) -> str | None:
 
 @_each_n("distributions", "equidistribution-321-132-213", 10)
 def _chk_equidistribution(n: int) -> str | None:
-    polys = [_crs_total(n, _pat_key(p)) for p in ((3, 2, 1), (1, 3, 2), (2, 1, 3))]
+    polys = [_crs(n, _pat_key(p)) for p in ((3, 2, 1), (1, 3, 2), (2, 1, 3))]
     if polys[0] != polys[1] or polys[0] != polys[2]:
         return ""
     if polys[0] != qseries.catalan_crs(n):
@@ -638,7 +624,7 @@ _PAIR_CLASSES = tuple(
 @_each_n("distributions", "closed-forms-pairs", 12)
 def _chk_closed_pairs(n: int) -> str | None:
     for pats in _PAIR_CLASSES:
-        if qseries.closed_form(pats, n) != _crs_total(n, pats):
+        if qseries.closed_form(pats, n) != _crs(n, pats):
             return f" patterns={fmt_patterns(pats)}"
     return None
 
@@ -646,7 +632,7 @@ def _chk_closed_pairs(n: int) -> str | None:
 @_each_n("distributions", "closed-forms-singles", 10)
 def _chk_closed_singles(n: int) -> str | None:
     for pat in ((3, 2, 1), (1, 3, 2), (2, 1, 3)):
-        if qseries.closed_form((pat,), n) != _crs_total(n, _pat_key(pat)):
+        if qseries.closed_form((pat,), n) != _crs(n, _pat_key(pat)):
             return f" pattern={fmt_perm(pat)}"
     return None
 
@@ -654,13 +640,11 @@ def _chk_closed_singles(n: int) -> str | None:
 @_each_n("distributions", "rec-213-132", 12)
 def _chk_rec_213_132(n: int) -> str | None:
     pats = _pat_key((2, 1, 3), (1, 3, 2))
-    if qseries.dist_213_132(n) != _crs_total(n, pats):
+    if qseries.dist_213_132(n) != _crs(n, pats):
         return ": total mismatch"
-    if n >= 1:
-        by_first = _crs_by_first(n, pats)
-        for k in range(1, n + 1):
-            if qseries.dist_213_132_first(n, k) != by_first[k - 1]:
-                return f" k={k}"
+    for k in range(1, n + 1):
+        if qseries.dist_213_132_first(n, k) != _crs(n, pats, "one-at", k):
+            return f" k={k}"
     return None
 
 
@@ -676,9 +660,9 @@ def _chk_r_table(cap: int):
             return n, f"n={n}: row sum"
     for n in range(cap + 1):
         for tau in ((1, 3, 2), (2, 1, 3)):
-            if _crs_total(n, _pat_key((3, 1, 2), tau)) != rows[n][0]:
+            if _crs(n, _pat_key((3, 1, 2), tau)) != rows[n][0]:
                 return n, f"n={n} patterns=312,{fmt_perm(tau)}"
-            if _crs_total(n, _pat_key((2, 3, 1), tau)) != rows[n + 1][1]:
+            if _crs(n, _pat_key((2, 3, 1), tau)) != rows[n + 1][1]:
                 return n, f"n={n} patterns=231,{fmt_perm(tau)}"
     return cap, None
 
@@ -736,19 +720,18 @@ def _chk_one_pos_boundaries(n: int) -> str | None:
         lo = min((p.index(1) + 1 for p in pats), default=inf)
         hi = max((p.index(1) + 1 for p in pats), default=0)
         inv_pats = _pat_key(*(perms.inverse(p) for p in pats))
-        by_first = _crs_by_first(n, pats)
-        if lo > 1 and by_first[0] != _crs_total(n - 1, pats):
+        if lo > 1 and _crs(n, pats, "one-at", 1) != _crs(n - 1, pats):
             return f" T={fmt_patterns(pats)} identity (i)"
         if lo > 2:
-            want = q * _crs_total(n - 1, pats) + one_minus_q * _crs_total(n - 2, pats)
-            if by_first[1] != want:
+            want = q * _crs(n - 1, pats) + one_minus_q * _crs(n - 2, pats)
+            if _crs(n, pats, "one-at", 2) != want:
                 return f" T={fmt_patterns(pats)} identity (ii)"
         if hi < 2:
-            tail = _crs_by_last(n - 1, inv_pats)[n - 2]
-            want = q * _crs_total(n - 1, inv_pats) + one_minus_q * tail
-            if by_first[n - 2] != want:
+            tail = _crs(n - 1, inv_pats, "last", n - 1)
+            want = q * _crs(n - 1, inv_pats) + one_minus_q * tail
+            if _crs(n, pats, "one-at", n - 1) != want:
                 return f" T={fmt_patterns(pats)} identity (iii)"
-        if hi < 3 and by_first[n - 1] != _crs_total(n - 1, inv_pats):
+        if hi < 3 and _crs(n, pats, "one-at", n) != _crs(n - 1, inv_pats):
             return f" T={fmt_patterns(pats)} identity (iv)"
     return None
 
@@ -757,13 +740,13 @@ def _chk_one_pos_boundaries(n: int) -> str | None:
 def _chk_one_pos_symmetry(n: int) -> str | None:
     q = QPoly.q_power(1)
     one_minus_q = QPoly((1, -1))
-    by_first = _crs_by_first(n, ())
+    by_first = [_crs(n, (), "one-at", k) for k in range(1, n + 1)]
     for k in range(1, n + 1):
         if by_first[k - 1] != by_first[n - k]:
             return f" k={k}"
-    if by_first[0] != _crs_total(n - 1, ()):
+    if by_first[0] != _crs(n - 1, ()):
         return " boundary"
-    want = q * _crs_total(n - 1, ()) + one_minus_q * _crs_total(n - 2, ())
+    want = q * _crs(n - 1, ()) + one_minus_q * _crs(n - 2, ())
     if by_first[1] != want:
         return " second column"
     return None
@@ -772,9 +755,9 @@ def _chk_one_pos_symmetry(n: int) -> str | None:
 @_each_n("distributions", "pascal-rows", 10, start=2)
 def _chk_pascal_rows(n: int) -> str | None:
     want = QPoly((1, 1)) ** (n - 2)
-    if _crs_by_first(n, _pat_key((1, 2, 3), (1, 3, 2)))[n - 2] != want:
+    if _crs(n, _pat_key((1, 2, 3), (1, 3, 2)), "one-at", n - 1) != want:
         return " S_n^(n-1)(123,132)"
-    if _crs_by_last(n, _pat_key((1, 2, 3), (2, 1, 3)))[1] != want:
+    if _crs(n, _pat_key((1, 2, 3), (2, 1, 3)), "last", 2) != want:
         return " S_(n,2)(123,213)"
     return None
 
@@ -802,7 +785,7 @@ def _chk_sigma_words(n: int) -> str | None:
 
 
 def _series_from_dists(pats: tuple[Perm, ...], order: int) -> Series:
-    return Series.of([_crs_total(n, pats) for n in range(order + 1)], order)
+    return Series.of([_crs(n, pats) for n in range(order + 1)], order)
 
 
 @_check("series", "cf-catalan", 10)
@@ -888,17 +871,13 @@ def _chk_generate(n: int) -> str | None:
 @_each_n("generation", "refinement-partition", 8, start=1)
 def _chk_partition(n: int) -> str | None:
     for pats in ((), _pat_key((3, 2, 1)), _pat_key((2, 1, 3), (1, 3, 2))):
-        total = _crs_total(n, pats)
-        acc = QPoly.zero()
-        for part in _crs_by_first(n, pats):
-            acc = acc + part
-        if acc != total:
-            return ": first-of-one cells do not partition"
-        acc = QPoly.zero()
-        for part in _crs_by_last(n, pats):
-            acc = acc + part
-        if acc != total:
-            return ": last-value cells do not partition"
+        total = _crs(n, pats)
+        for refinement, cells in (("one-at", "first-of-one"), ("last", "last-value")):
+            acc = QPoly.zero()
+            for k in range(1, n + 1):
+                acc = acc + _crs(n, pats, refinement, k)
+            if acc != total:
+                return f": {cells} cells do not partition"
     return None
 
 

@@ -245,7 +245,17 @@ def crossings(sigma: Perm) -> frozenset[ArcPair]:
 
 
 def crs(sigma: Perm) -> int:
-    return len(crossings(sigma))
+    # a fold over the letters, with `crossings` as its oracle: v at position p
+    # closes an upper crossing with each earlier letter in (p, v), and opens a
+    # lower one with each later letter in (v, p]
+    used = count = 0
+    for p, v in enumerate(sigma, start=1):
+        if v > p:
+            count += (used >> (p + 1) & ((1 << (v - p - 1)) - 1)).bit_count()
+        elif v < p:
+            count += (~used >> (v + 1) & ((1 << (p - v)) - 1)).bit_count()
+        used |= 1 << v
+    return count
 
 
 def nestings(sigma: Perm) -> frozenset[ArcPair]:
@@ -266,7 +276,17 @@ def nestings(sigma: Perm) -> frozenset[ArcPair]:
 
 
 def nes(sigma: Perm) -> int:
-    return len(nestings(sigma))
+    # a fold like crs's, with `nestings` as its oracle: v at position p closes
+    # an upper nesting with each earlier letter above v, or when v <= p opens
+    # a lower one with each later letter below v
+    used = count = 0
+    for p, v in enumerate(sigma, start=1):
+        if v > p:
+            count += (used >> (v + 1)).bit_count()
+        else:
+            count += (~used & ((1 << v) - 2)).bit_count()
+        used |= 1 << v
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +306,12 @@ def des(sigma: Perm) -> int:
 
 
 def inv(sigma: Perm) -> int:
-    n = len(sigma)
-    return sum(
-        1 for i in range(n) for j in range(i + 1, n) if sigma[i] > sigma[j]
-    )
+    # each letter adds the earlier letters above it
+    used = count = 0
+    for v in sigma:
+        count += (used >> (v + 1)).bit_count()
+        used |= 1 << v
+    return count
 
 
 def maj(sigma: Perm) -> int:

@@ -4,11 +4,14 @@ Run with `pytest -v tests/test_acceptance.py` to get one pass/fail line per
 criterion.  Where a runtime budget is stated it is asserted, not just hoped.
 """
 
+import ast
 import itertools
 import json
+import pathlib
 import time
 from collections import Counter
 
+import crossperm
 from crossperm import bijections, cli, perms
 from crossperm.enumeration import (
     DistributionQuery,
@@ -227,3 +230,11 @@ def test_criterion_11_check_all_reports_are_byte_identical(capsys):
     report = json.loads(first)
     assert all(c["status"] == "pass" for c in report["checks"])
     assert len(report["checks"]) == 44
+
+
+def test_criterion_11_no_assert_in_the_package():
+    # python -O strips asserts, so no check of the library may rest on one
+    for path in sorted(pathlib.Path(crossperm.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], f"{path.name}: assert at lines {lines}"

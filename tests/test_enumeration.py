@@ -254,7 +254,7 @@ def test_joint_distribution_validation():
     with pytest.raises(ValueError, match="^unknown statistic: 'bogus'$"):
         joint_distribution(3, (), ("crs", "bogus"), variables=("x", "y"))
     # the tally's private columns are not statistics
-    for private in ("one", "last"):
+    for private in ("one", "last", "tail"):
         with pytest.raises(ValueError, match=f"^unknown statistic: '{private}'$"):
             joint_distribution(3, (), (private,))
         with pytest.raises(ValueError, match=f"^unknown statistic: '{private}'$"):
@@ -286,15 +286,26 @@ REFERENCE_FILTERS = {
 }
 
 
+# the statistics for the reference: crs, nes and inv are folds in perms, so
+# the reference counts them from the pair sets and pairs of letters instead
+REFERENCE_STATISTICS = {
+    **enumeration.STATISTICS,
+    "crs": lambda s: len(perms.crossings(s)),
+    "nes": lambda s: len(perms.nestings(s)),
+    "inv": lambda s: sum(1 for a, b in itertools.combinations(s, 2) if a > b),
+}
+
+
 def test_aggregator_matches_naive_reference():
     # the reference counts over generate filtered by its own predicates,
     # sharing nothing with the cached tally behind distribution and
-    # joint_distribution, nor with the query's admits that the tally filters by
+    # joint_distribution, nor with the query's refinement predicate
     names = list(enumeration.STATISTICS)
+    assert list(REFERENCE_STATISTICS) == names
     for n in range(7):
         for patterns in AGGREGATOR_CLASSES:
             members = list(generate(n, patterns))
-            values = {s: {st: enumeration.STATISTICS[st](s) for st in names}
+            values = {s: {st: REFERENCE_STATISTICS[st](s) for st in names}
                       for s in members}
             for refinement, k, j in refinement_cases(n):
                 query = DistributionQuery(n, patterns, refinement=refinement, k=k, j=j)
@@ -422,8 +433,8 @@ def _identity_of_same_size(sigma):
          lambda v: v + 1, 4, "n=4: differs from the Catalan distribution"),
         ("one-at-end-slice", bijections, "f_k", ((1, 2), 3), lambda v: v[::-1],
          3, "n=3: image set mismatch"),
-        ("refinement-partition", enumeration, "_crs_by_last", (3, ()),
-         lambda v: v[:-1], 3, "n=3: last-value cells do not partition"),
+        ("refinement-partition", enumeration, "_crs", (3, (), "last", 3),
+         lambda v: v + 1, 3, "n=3: last-value cells do not partition"),
     ],
     ids=["crs-decomposition", "inverse-crossings", "append-one", "insert-one-k",
          "insert-front-j", "tail-fixed-insert-k", "theta-preserves-crs",
@@ -451,7 +462,7 @@ def test_counterexample_strings_are_pinned(
 
 
 def test_check_suites_walk_each_class_once(walks):
-    # the crs total and both refinements are marginals of one cached tally
+    # the crs total and both refinements read one cached tally
     report = verify("refinement-partition", n_max=5)
     assert report["checks"][0]["status"] == "pass"
     assert len(walks) == 15 and set(walks.values()) == {1}
@@ -470,6 +481,22 @@ def test_one_statistic_joint_and_distribution_share_a_walk(walks):
     dist = distribution(DistributionQuery(5, ((3, 2, 1),), "nes"))
     assert joint.evaluate(q=1) == dist.count == 42
     assert walks == {(5, ((3, 2, 1),)): 1}
+
+
+def test_refinements_of_a_class_share_one_walk(walks):
+    # every refinement is a predicate on the key of the class's one tally
+    pats = ((3, 2, 1),)
+    total = distribution(DistributionQuery(5, pats)).count
+    counts = {
+        refinement: [
+            distribution(DistributionQuery(5, pats, refinement=refinement, k=k)).count
+            for k in range(1, 6)
+        ]
+        for refinement in ("one-at", "last", "tail")
+    }
+    assert sum(counts["one-at"]) == sum(counts["last"]) == total == 42
+    assert counts["tail"] == [1, 0, 0, 0, 0]  # 23451 alone ends in 1
+    assert walks == {(5, pats): 1}
 
 
 def test_verify_unknown_suite():

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -123,6 +124,26 @@ def test_crossings_golden():
 )
 def test_crs_small_values(sigma, expected):
     assert crs(sigma) == expected
+
+
+def _pair_inversions(sigma):
+    return sum(1 for a, b in itertools.combinations(sigma, 2) if a > b)
+
+
+def _random_words():
+    rng = random.Random(20220516)
+    for n in (20, 50, 200):
+        for _ in range(200):
+            yield tuple(rng.sample(range(1, n + 1), n))
+
+
+def test_folds_match_the_pair_sets():
+    # crs, nes and inv are folds over the letters; the pair sets and a pair
+    # count are their oracle, on all of S_n for n <= 8 and on random words
+    for sigma in itertools.chain(small_perms(8), _random_words()):
+        assert crs(sigma) == len(crossings(sigma)), sigma
+        assert nes(sigma) == len(nestings(sigma)), sigma
+        assert inv(sigma) == _pair_inversions(sigma), sigma
 
 
 def test_identity_has_no_arcs_crossing():
