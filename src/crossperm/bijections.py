@@ -6,8 +6,12 @@ The chain runs
              --phi_inverse--> S_n(132),
 
 and `theta_pipeline` is the composite.  `theta_recursive` computes the same
-map directly on one-line notation, one prefix at a time, with no auxiliary
-objects; the two implementations are compared pointwise in the tests.  The
+map directly on one-line notation, one letter at a time: each letter is
+placed by one insert(result, i, j) step, defined on the reduced prefix.
+The lemma that on a 321-avoider the matched excedance values are the second
+row of the insertion tableau P lets one incremental two-row insertion read
+i and j off each letter, with no matching set, tableau pair or Dyck path.
+The two implementations are compared pointwise in the tests.  The
 composite preserves fixed points, excedances, and crossings; the half-way
 statistics on the Dyck path are the centered and right tunnel counts.
 
@@ -28,7 +32,7 @@ from .perms import (
     insert,
     inverse,
     involution,
-    reduce_word,
+    reduce_word,  # not called here; perfbench/spans.py wraps bijections.reduce_word
 )
 
 DyckPath = str
@@ -304,11 +308,15 @@ def theta_pipeline(sigma: Perm) -> Perm:
 
 
 def theta_recursive(sigma: Perm) -> Perm:
-    """Same map computed directly by prefix recursion, iteratively.
+    """Same map computed directly by prefix recursion, one letter at a time.
 
-    Each step reduces the length-l prefix, reads k = last letter and
-    j = 1 + the number of matched excedance values at most k, and applies
-    insert(result, l-k+j, j).
+    By definition, step l reduces the length-l prefix, reads k = its last
+    letter and j = 1 + the number of its matched excedance values at most k,
+    and applies insert(result, l-k+j, j).  On a 321-avoider the matched
+    excedance values are the second row of P, so one two-row insertion per
+    letter gives both numbers: with pos = bisect_right(row1, v) and c the
+    number of row-2 letters below v, k = pos + c + 1 and j = c + 1, and the
+    step is insert(result, l-pos, c+1).
 
     >>> theta_recursive((2, 4, 1, 3, 5, 8, 6, 7))
     (7, 8, 5, 3, 4, 6, 2, 1)
@@ -317,34 +325,62 @@ def theta_recursive(sigma: Perm) -> Perm:
     return _theta_recursive(sigma)
 
 
+def _theta_steps(sigma: Perm) -> list[tuple[int, int]]:
+    """The (position, value) insertion of each letter, by two-row insertion."""
+    row1: list[int] = []
+    row2: list[int] = []
+    steps: list[tuple[int, int]] = []
+    for l, v in enumerate(sigma, start=1):
+        pos = bisect_right(row1, v)
+        steps.append((l - pos, bisect_right(row2, v) + 1))
+        if pos == len(row1):
+            row1.append(v)
+        else:
+            # no 321, so the bumped letter is the largest in row 2
+            row2.append(row1[pos])
+            row1[pos] = v
+    return steps
+
+
 def _theta_recursive(sigma: Perm) -> Perm:
-    result: Perm = ()
-    for l in range(1, len(sigma) + 1):
-        prefix = reduce_word(sigma[:l])
-        k = prefix[-1]
-        j = sum(1 for value, _ in matching_set(prefix) if value <= k) + 1
-        result = insert(result, l - k + j, j)
-    return result
+    return _insert_all(_theta_steps(sigma))
+
+
+def _insert_all(steps: list[tuple[int, int]]) -> Perm:
+    """Fold insert(word, i, x) over the steps from the empty word, last first.
+
+    The letter of a step ends at the i-th position and with the x-th value
+    among those that the later steps leave free.
+    """
+    n = len(steps)
+    slots, values = list(range(n)), list(range(1, n + 1))
+    word = [0] * n
+    for i, x in reversed(steps):
+        word[slots.pop(i - 1)] = values.pop(x - 1)
+    return tuple(word)
 
 
 def theta_inverse(alpha: Perm) -> Perm:
     """Peel the leftmost weak deficiency, then rebuild by insertions.
 
+    Peeling u from a word of length m records the step (m, m - l + u), where
+    l is its position; the remaining letters above u drop by one.
+
     >>> theta_inverse((7, 8, 5, 3, 4, 6, 2, 1))
     (2, 4, 1, 3, 5, 8, 6, 7)
     """
     _require_avoids(alpha, (1, 3, 2), "theta_inverse")
-    ops: list[int] = []
-    word = alpha
-    while len(word) > 1:
+    peeled: list[tuple[int, int]] = []
+    word = list(alpha)
+    while word:
         m = len(word)
-        l = next(i for i in range(1, m + 1) if word[i - 1] <= i)
-        ops.append(m - l + word[l - 1])
-        word = reduce_word(word[: l - 1] + word[l:])
-    result = word
-    for x in reversed(ops):
-        result = insert(result, len(result) + 1, x)
-    return result
+        l = 1
+        while word[l - 1] > l:  # stops at l = m at the latest
+            l += 1
+        u = word.pop(l - 1)
+        peeled.append((m, m - l + u))
+        word = [w - (w > u) for w in word]
+    return _insert_all(peeled[::-1])
 
 
 def gamma(sigma: Perm) -> Perm:

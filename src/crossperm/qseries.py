@@ -444,8 +444,15 @@ def catalan_qp(n: int) -> MultiPoly:
 
 
 def catalan_crs(n: int) -> QPoly:
-    """C_n(1,q): the crossing distribution over the 321-avoiders."""
-    return catalan_qp(n).eval_poly({"q": 1, "p": QPoly.q_power(1)})
+    """C_n(1,q): the crossing distribution over the 321-avoiders.
+
+    Setting q = 1 and p = q sums the coefficients of C_n(q,p) by p-exponent.
+    """
+    terms = catalan_qp(n).terms
+    coeffs = [0] * (1 + max(b for _, b in terms))
+    for (_, b), c in terms.items():
+        coeffs[b] += c
+    return QPoly(coeffs)
 
 
 @cache

@@ -28,6 +28,7 @@ from crossperm.bijections import (
     tunnels,
 )
 from crossperm.enumeration import generate
+from samplers import two_run_merges
 
 
 def avoiders(n, pattern):
@@ -203,6 +204,73 @@ def test_theta_exchanges_sum_with_product():
             lhs = theta_pipeline(perms.direct_sum(s1, s2))
             rhs = perms.direct_product(theta_pipeline(s2), theta_pipeline(s1))
             assert lhs == rhs, (s1, s2)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass theta and theta_inverse against their definitions
+
+
+def definition_steps(sigma):
+    # per prefix: reduce it, k = its last letter, j = 1 + the matched
+    # excedance values <= k; the step is insert(result, l - k + j, j)
+    steps = []
+    for l in range(1, len(sigma) + 1):
+        prefix = perms.reduce_word(sigma[:l])
+        k = prefix[-1]
+        j = sum(1 for value, _ in matching_set(prefix) if value <= k) + 1
+        steps.append((l - k + j, j))
+    return steps
+
+
+def theta_by_definition(sigma):
+    result = ()
+    for i, j in definition_steps(sigma):
+        result = perms.insert(result, i, j)
+    return result
+
+
+def theta_inverse_by_definition(alpha):
+    # peel the leftmost weak deficiency and reduce what is left
+    ops = []
+    word = alpha
+    while len(word) > 1:
+        m = len(word)
+        l = next(i for i in range(1, m + 1) if word[i - 1] <= i)
+        ops.append(m - l + word[l - 1])
+        word = perms.reduce_word(word[: l - 1] + word[l:])
+    result = word
+    for x in reversed(ops):
+        result = perms.insert(result, len(result) + 1, x)
+    return result
+
+
+def test_theta_steps_read_the_prefix_lemma_off_the_row_insertion():
+    # every prefix of every 321-avoider: c + 1 from the two-row insertion
+    # is 1 + #{matched excedance values <= k} of the reduced prefix
+    for n in range(9):
+        for sigma in avoiders(n, (3, 2, 1)):
+            assert bijections._theta_steps(sigma) == definition_steps(sigma), sigma
+
+
+def test_theta_and_gamma_match_the_definition():
+    batches = [avoiders(n, (3, 2, 1)) for n in range(10)]
+    batches += [two_run_merges(20, 150, 2018), two_run_merges(40, 60, 4018)]
+    for batch in batches:
+        for sigma in batch:
+            assert bijections.theta(sigma) == theta_by_definition(sigma), sigma
+            rci = perms.involution(sigma, "rci")
+            assert gamma(sigma) == theta_by_definition(rci), sigma
+
+
+def test_theta_inverse_matches_the_definition():
+    batches = [avoiders(n, (1, 3, 2)) for n in range(10)]
+    batches += [
+        [theta_pipeline(s) for s in two_run_merges(n, count, seed)]
+        for n, count, seed in ((20, 150, 2019), (40, 60, 4019))
+    ]
+    for batch in batches:
+        for alpha in batch:
+            assert theta_inverse(alpha) == theta_inverse_by_definition(alpha), alpha
 
 
 # ---------------------------------------------------------------------------

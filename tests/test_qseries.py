@@ -267,6 +267,12 @@ def test_catalan_crs_anchors():
     assert catalan_crs(4) == QPoly((8, 4, 2))
 
 
+def test_catalan_crs_is_the_substitution_q_1_p_q():
+    q = QPoly((0, 1))
+    for n in range(17):
+        assert catalan_crs(n) == catalan_qp(n).eval_poly({"q": 1, "p": q}), n
+
+
 def test_inv_dist_matches_oracle_and_diagonal():
     for n, row in enumerate(INV_321):
         assert inv_dist_321(n).json_coeffs() == row, n
