@@ -15,6 +15,7 @@ import dataclasses
 import json
 import os
 import sys
+import time
 from collections.abc import Sequence
 from functools import partial
 
@@ -156,42 +157,31 @@ def _cmd_dist(args) -> int:
         k=args.k,
         j=args.j,
     )
-    result = enumeration.distribution(query)
+    start = time.perf_counter()
+    if query.statistic == "crs" and query.refinement == "none":
+        poly = enumeration.crs_route(query.patterns)[1](query.n)
+    else:
+        poly = enumeration.distribution(query).polynomial
+    millis = (time.perf_counter() - start) * 1000.0
     payload = {
         **dataclasses.asdict(query),  # n, patterns, statistic, refinement, k, j
-        "count": result.count,
-        "coefficients": result.polynomial.json_coeffs(),
+        "count": poly(1),
+        "coefficients": poly.json_coeffs(),
     }
-    lines = [result.polynomial.text()]
+    lines = [poly.text()]
     if args.timings:
-        payload["millis"] = round(result.millis, 3)
+        payload["millis"] = round(millis, 3)
         lines.append(f"millis = {payload['millis']}")
     _emit(args, payload, lines)
     return 0
 
 
-def _series_coefficients(
-    patterns: tuple[Perm, ...], order: int
-) -> tuple[list[qseries.QPoly], str]:
-    try:
-        return [qseries.closed_form(patterns, m) for m in range(order + 1)], "closed-form"
-    except ValueError:
-        pass
-    if frozenset(patterns) == frozenset({(2, 1, 3), (1, 3, 2)}):
-        return [qseries.dist_213_132(m) for m in range(order + 1)], "recurrence"
-    coeffs = []
-    for m in range(order + 1):
-        query = enumeration.DistributionQuery(n=m, patterns=patterns)
-        coeffs.append(enumeration.distribution(query).polynomial)
-    return coeffs, "enumeration"
-
-
 def _cmd_series(args) -> int:
-    # the pattern set, each pattern once and sorted, as DistributionQuery has it
-    patterns = tuple(sorted(set(parse_patterns(args.patterns))))
+    patterns = perms.pattern_set(parse_patterns(args.patterns))
     if args.order < 0:
         raise ParseError(f"negative order: {args.order}")
-    coeffs, source = _series_coefficients(patterns, args.order)
+    source, at = enumeration.crs_route(patterns)
+    coeffs = [at(m) for m in range(args.order + 1)]
     payload = {
         "patterns": [list(p) for p in patterns],
         "order": args.order,
@@ -217,10 +207,8 @@ def _table_rows(name: str, n_max: int) -> list[list[str]]:
         ]
     if name in ("a076791", "a299927"):
         pats = ((3, 2, 1), (2, 3, 1)) if name == "a076791" else ((1, 2, 3), (1, 3, 2))
-        return [
-            [str(c) for c in qseries.closed_form(pats, n).json_coeffs()]
-            for n in range(n_max + 1)
-        ]
+        _, at = enumeration.crs_route(pats)
+        return [[str(c) for c in at(n).json_coeffs()] for n in range(n_max + 1)]
     # pascal-corok: rows of (1+q)^(n-2), the refined corner distribution
     rows = []
     for n in range(2, n_max + 1):

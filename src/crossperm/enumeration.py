@@ -15,6 +15,11 @@ the tally: `distribution` keeps the keys that its query accepts,
 `joint_distribution` drops the three columns, and the crossing
 distributions of the check suites are `distribution`'s (`_crs`).
 
+`crs_route` alone names how a class's crossing distribution is computed:
+"closed-form" (`qseries.CLOSED_FORMS`), "recurrence" ({132,213}) or
+"enumeration" (the tally).  The command line asks it; the check suites
+never do, since they compare those formulas with the tally.
+
 A check is one decorated function that names its suite, its name, its
 default cap and its first n.  One driver (`_each_n`) scans n = start..cap
 upward, stops at the first n whose body returns a note, and reports
@@ -38,7 +43,7 @@ from math import comb, inf
 from types import MappingProxyType
 
 from . import bijections, perms, qseries
-from .perms import Perm, as_perm, fmt_patterns, fmt_perm
+from .perms import Perm, fmt_patterns, fmt_perm
 from .qseries import MultiPoly, QPoly, Series
 
 # ---------------------------------------------------------------------------
@@ -53,12 +58,12 @@ def generate(n: int, patterns: Iterable[Sequence[int]] = ()) -> Iterator[Perm]:
     """
     if n < 0:
         raise ValueError(f"negative size: {n}")
-    pats = sorted({as_perm(p) for p in patterns})
+    pats = perms.pattern_set(patterns)
     if any(len(p) == 0 for p in pats):
         return iter(())  # the empty pattern occurs in everything
     if n == 0:
         return iter([()])
-    return _walk(n, tuple(pats))
+    return _walk(n, pats)
 
 
 def _walk(n: int, pats: tuple[Perm, ...]) -> Iterator[Perm]:
@@ -136,9 +141,7 @@ class DistributionQuery:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError(f"negative size: {self.n}")
-        object.__setattr__(
-            self, "patterns", tuple(sorted({as_perm(p) for p in self.patterns}))
-        )
+        object.__setattr__(self, "patterns", perms.pattern_set(self.patterns))
         if self.statistic not in STATISTICS:
             raise ValueError(f"unknown statistic: {self.statistic!r}")
         if self.refinement not in REFINEMENTS:
@@ -173,7 +176,6 @@ class DistributionQuery:
 class DistributionResult:
     polynomial: QPoly
     count: int
-    millis: float
 
 
 @cache
@@ -193,7 +195,6 @@ def _tally(
 
 def distribution(query: DistributionQuery) -> DistributionResult:
     """Sum q^{stat(sigma)} over the queried class, by enumeration."""
-    start = time.perf_counter()
     cells = Counter()
     tally = _tally(query.n, query.patterns, (query.statistic,))
     for (one, last, tail, value), count in tally.items():
@@ -202,7 +203,6 @@ def distribution(query: DistributionQuery) -> DistributionResult:
     return DistributionResult(
         polynomial=QPoly(cells[v] for v in range(max(cells, default=-1) + 1)),
         count=sum(cells.values()),
-        millis=(time.perf_counter() - start) * 1000.0,
     )
 
 
@@ -224,9 +224,8 @@ def joint_distribution(
     for stat in stats:
         if stat not in STATISTICS:
             raise ValueError(f"unknown statistic: {stat!r}")
-    query = DistributionQuery(n, patterns)
     joint = Counter()
-    for key, count in _tally(query.n, query.patterns, tuple(stats)).items():
+    for key, count in _tally(n, perms.pattern_set(patterns), tuple(stats)).items():
         joint[key[3:]] += count
     return MultiPoly(names, joint)
 
@@ -239,10 +238,22 @@ def _crs(n: int, pats: tuple[Perm, ...], refinement: str = "none",
 
 _PATTERNS3 = ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1))
 _AVOID321 = ((3, 2, 1),)
+_PAIR_132_213 = ((1, 3, 2), (2, 1, 3))
 
 
-def _pat_key(*pats: Perm) -> tuple[Perm, ...]:
-    return tuple(sorted(pats))
+def crs_route(patterns: Iterable[Sequence[int]]) -> tuple[str, Callable[[int], QPoly]]:
+    """(source, fn): fn(n) is the crossing distribution of S_n(patterns).
+
+    >>> [crs_route(t)[0] for t in ([(3, 2, 1)], [(2, 1, 3), (1, 3, 2)], [])]
+    ['closed-form', 'recurrence', 'enumeration']
+    """
+    pats = perms.pattern_set(patterns)
+    # qseries is read when fn runs, so a wrapped formula is the one that runs
+    if pats in qseries.CLOSED_FORMS:
+        return "closed-form", lambda n: qseries.closed_form(pats, n)
+    if pats == _PAIR_132_213:
+        return "recurrence", lambda n: qseries.dist_213_132(n)
+    return "enumeration", lambda n: _crs(n, pats)
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +616,7 @@ def _chk_catalan_sizes(n: int) -> str | None:
 
 @_each_n("distributions", "equidistribution-321-132-213", 10)
 def _chk_equidistribution(n: int) -> str | None:
-    polys = [_crs(n, _pat_key(p)) for p in ((3, 2, 1), (1, 3, 2), (2, 1, 3))]
+    polys = [_crs(n, (p,)) for p in ((3, 2, 1), (1, 3, 2), (2, 1, 3))]
     if polys[0] != polys[1] or polys[0] != polys[2]:
         return ""
     if polys[0] != qseries.catalan_crs(n):
@@ -613,12 +624,8 @@ def _chk_equidistribution(n: int) -> str | None:
     return None
 
 
-_PAIR_CLASSES = tuple(
-    _pat_key(a, b)
-    for i, a in enumerate(_PATTERNS3)
-    for b in _PATTERNS3[i + 1 :]
-    if {a, b} != {(2, 1, 3), (1, 3, 2)}
-)
+# the pairs with a closed form, each sorted as _PATTERNS3 is
+_PAIR_CLASSES = tuple(p for p in combinations(_PATTERNS3, 2) if p != _PAIR_132_213)
 
 
 @_each_n("distributions", "closed-forms-pairs", 12)
@@ -632,14 +639,14 @@ def _chk_closed_pairs(n: int) -> str | None:
 @_each_n("distributions", "closed-forms-singles", 10)
 def _chk_closed_singles(n: int) -> str | None:
     for pat in ((3, 2, 1), (1, 3, 2), (2, 1, 3)):
-        if qseries.closed_form((pat,), n) != _crs(n, _pat_key(pat)):
+        if qseries.closed_form((pat,), n) != _crs(n, (pat,)):
             return f" pattern={fmt_perm(pat)}"
     return None
 
 
 @_each_n("distributions", "rec-213-132", 12)
 def _chk_rec_213_132(n: int) -> str | None:
-    pats = _pat_key((2, 1, 3), (1, 3, 2))
+    pats = _PAIR_132_213
     if qseries.dist_213_132(n) != _crs(n, pats):
         return ": total mismatch"
     for k in range(1, n + 1):
@@ -660,9 +667,9 @@ def _chk_r_table(cap: int):
             return n, f"n={n}: row sum"
     for n in range(cap + 1):
         for tau in ((1, 3, 2), (2, 1, 3)):
-            if _crs(n, _pat_key((3, 1, 2), tau)) != rows[n][0]:
+            if _crs(n, (tau, (3, 1, 2))) != rows[n][0]:
                 return n, f"n={n} patterns=312,{fmt_perm(tau)}"
-            if _crs(n, _pat_key((2, 3, 1), tau)) != rows[n + 1][1]:
+            if _crs(n, (tau, (2, 3, 1))) != rows[n + 1][1]:
                 return n, f"n={n} patterns=231,{fmt_perm(tau)}"
     return cap, None
 
@@ -705,21 +712,18 @@ def _chk_crs_nes(n: int) -> str | None:
     return None
 
 
-def _admissible_sets() -> list[tuple[Perm, ...]]:
-    sets: list[tuple[Perm, ...]] = [()]
-    sets += [(p,) for p in _PATTERNS3]
-    sets += list(_PAIR_CLASSES) + [_pat_key((2, 1, 3), (1, 3, 2))]
-    return sets
+# the empty set, the singles and the pairs of S_3
+_ADMISSIBLE_SETS = ((), *((p,) for p in _PATTERNS3), *_PAIR_CLASSES, _PAIR_132_213)
 
 
 @_each_n("distributions", "one-position-boundaries", 9, start=3)
 def _chk_one_pos_boundaries(n: int) -> str | None:
     q = QPoly.q_power(1)
     one_minus_q = QPoly((1, -1))
-    for pats in _admissible_sets():
+    for pats in _ADMISSIBLE_SETS:
         lo = min((p.index(1) + 1 for p in pats), default=inf)
         hi = max((p.index(1) + 1 for p in pats), default=0)
-        inv_pats = _pat_key(*(perms.inverse(p) for p in pats))
+        inv_pats = perms.pattern_set(perms.inverse(p) for p in pats)
         if lo > 1 and _crs(n, pats, "one-at", 1) != _crs(n - 1, pats):
             return f" T={fmt_patterns(pats)} identity (i)"
         if lo > 2:
@@ -755,9 +759,9 @@ def _chk_one_pos_symmetry(n: int) -> str | None:
 @_each_n("distributions", "pascal-rows", 10, start=2)
 def _chk_pascal_rows(n: int) -> str | None:
     want = QPoly((1, 1)) ** (n - 2)
-    if _crs(n, _pat_key((1, 2, 3), (1, 3, 2)), "one-at", n - 1) != want:
+    if _crs(n, ((1, 2, 3), (1, 3, 2)), "one-at", n - 1) != want:
         return " S_n^(n-1)(123,132)"
-    if _crs(n, _pat_key((1, 2, 3), (2, 1, 3)), "last", 2) != want:
+    if _crs(n, ((1, 2, 3), (2, 1, 3)), "last", 2) != want:
         return " S_(n,2)(123,213)"
     return None
 
@@ -820,20 +824,18 @@ def _chk_gf_relations(cap: int):
     one = Series.of([1], order)
     z = Series.of([0, 1], order)
     z_over = qseries.rational_series([0, 1], [1, -1], order)
-    f312 = _series_from_dists(_pat_key((3, 1, 2)), order)
-    f231 = _series_from_dists(_pat_key((2, 3, 1)), order)
+    f312 = _series_from_dists(((3, 1, 2),), order)
+    f231 = _series_from_dists(((2, 3, 1),), order)
     if f312 * (one - z * f231) != one:
         return order, "F(312)*(1 - z*F(231)) != 1"
-    lhs = _series_from_dists(_pat_key((3, 1, 2), (1, 2, 3)), order)
-    rhs = one + z_over * z_over + z * _series_from_dists(
-        _pat_key((2, 3, 1), (1, 2, 3)), order
-    )
+    lhs = _series_from_dists(((1, 2, 3), (3, 1, 2)), order)
+    rhs = one + z_over * z_over + z * _series_from_dists(((1, 2, 3), (2, 3, 1)), order)
     if lhs != rhs:
         return order, "F(312,123) relation fails"
     for tau in ((1, 3, 2), (2, 1, 3)):
         for tau2 in ((1, 3, 2), (2, 1, 3)):
-            lhs = _series_from_dists(_pat_key((3, 1, 2), tau), order)
-            rhs = one + z_over * _series_from_dists(_pat_key((2, 3, 1), tau2), order)
+            lhs = _series_from_dists((tau, (3, 1, 2)), order)
+            rhs = one + z_over * _series_from_dists((tau2, (2, 3, 1)), order)
             if lhs != rhs:
                 return order, f"F(312,{fmt_perm(tau)}) vs F(231,{fmt_perm(tau2)})"
     return cap, None
@@ -846,10 +848,10 @@ def _chk_gf_relations(cap: int):
 def _chk_generate(n: int) -> str | None:
     sample_sets = [
         (),
-        _pat_key((3, 2, 1)),
-        _pat_key((1, 2, 3), (3, 1, 2)),
-        _pat_key((3, 1, 2), (1, 3, 2)),
-        _pat_key((2, 1,)),
+        ((3, 2, 1),),
+        ((1, 2, 3), (3, 1, 2)),
+        ((1, 3, 2), (3, 1, 2)),
+        ((2, 1),),
     ]
     for pats in sample_sets:
         got = list(generate(n, pats))
@@ -870,7 +872,7 @@ def _chk_generate(n: int) -> str | None:
 
 @_each_n("generation", "refinement-partition", 8, start=1)
 def _chk_partition(n: int) -> str | None:
-    for pats in ((), _pat_key((3, 2, 1)), _pat_key((2, 1, 3), (1, 3, 2))):
+    for pats in ((), _AVOID321, _PAIR_132_213):
         total = _crs(n, pats)
         for refinement, cells in (("one-at", "first-of-one"), ("last", "last-value")):
             acc = QPoly.zero()
@@ -931,6 +933,7 @@ __all__ = [
     "DistributionResult",
     "REFINEMENTS",
     "STATISTICS",
+    "crs_route",
     "distribution",
     "generate",
     "joint_distribution",

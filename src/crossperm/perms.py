@@ -99,6 +99,15 @@ def fmt_patterns(patterns: Sequence[Sequence[int]]) -> str:
     return ",".join(map(fmt_perm, patterns)) or "(none)"
 
 
+def pattern_set(patterns: Iterable[Sequence[int]]) -> tuple[Perm, ...]:
+    """A pattern set as the library keys it: validated, each once, sorted.
+
+    >>> pattern_set([(3, 2, 1), (2, 3, 1), [3, 2, 1]])
+    ((2, 3, 1), (3, 2, 1))
+    """
+    return tuple(sorted({as_perm(p) for p in patterns}))
+
+
 # ---------------------------------------------------------------------------
 # pattern containment
 #

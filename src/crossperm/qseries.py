@@ -11,12 +11,12 @@ in the test suite; none of them is allowed to be approximate.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import cache
 from math import comb
 from typing import TypeVar
 
-from .perms import Perm, as_perm, fmt_patterns
+from .perms import Perm, as_perm, fmt_patterns, pattern_set
 
 
 def _format_terms(parts: list[tuple[int, str]]) -> str:
@@ -714,33 +714,34 @@ def _dist_123_231(n: int) -> QPoly:
     return _dist_123_312(n + 1) - QPoly((n,))
 
 
-_CATALAN_CLASSES = ((3, 2, 1), (1, 3, 2), (2, 1, 3))
-
-_CLOSED_FORMS: dict[frozenset[Perm], object] = {
-    frozenset({(3, 2, 1), (2, 3, 1)}): _dist_321_231,
-    frozenset({(1, 2, 3), (1, 3, 2)}): _dist_123_132,
-    frozenset({(1, 2, 3), (2, 1, 3)}): _dist_123_132,
-    frozenset({(3, 2, 1), (1, 3, 2)}): _dist_321_132,
-    frozenset({(3, 2, 1), (2, 1, 3)}): _dist_321_132,
-    frozenset({(1, 2, 3), (3, 2, 1)}): _dist_123_321,
-    frozenset({(3, 1, 2), (3, 2, 1)}): _dist_crossing_free,
-    frozenset({(3, 1, 2), (2, 3, 1)}): _dist_crossing_free,
-    frozenset({(3, 1, 2), (1, 3, 2)}): _dist_312_132,
-    frozenset({(3, 1, 2), (2, 1, 3)}): _dist_312_132,
-    frozenset({(2, 3, 1), (1, 3, 2)}): _dist_231_132,
-    frozenset({(2, 3, 1), (2, 1, 3)}): _dist_231_132,
-    frozenset({(1, 2, 3), (3, 1, 2)}): _dist_123_312,
-    frozenset({(1, 2, 3), (2, 3, 1)}): _dist_123_231,
+# the classes with a formula, keyed by their pattern set (perms.pattern_set)
+CLOSED_FORMS: dict[tuple[Perm, ...], Callable[[int], QPoly]] = {
+    ((1, 3, 2),): catalan_crs,
+    ((2, 1, 3),): catalan_crs,
+    ((3, 2, 1),): catalan_crs,
+    ((2, 3, 1), (3, 2, 1)): _dist_321_231,
+    ((1, 2, 3), (1, 3, 2)): _dist_123_132,
+    ((1, 2, 3), (2, 1, 3)): _dist_123_132,
+    ((1, 3, 2), (3, 2, 1)): _dist_321_132,
+    ((2, 1, 3), (3, 2, 1)): _dist_321_132,
+    ((1, 2, 3), (3, 2, 1)): _dist_123_321,
+    ((3, 1, 2), (3, 2, 1)): _dist_crossing_free,
+    ((2, 3, 1), (3, 1, 2)): _dist_crossing_free,
+    ((1, 3, 2), (3, 1, 2)): _dist_312_132,
+    ((2, 1, 3), (3, 1, 2)): _dist_312_132,
+    ((1, 3, 2), (2, 3, 1)): _dist_231_132,
+    ((2, 1, 3), (2, 3, 1)): _dist_231_132,
+    ((1, 2, 3), (3, 1, 2)): _dist_123_312,
+    ((1, 2, 3), (2, 3, 1)): _dist_123_231,
 }
 
 
 def closed_form(patterns: Iterable[Sequence[int]], n: int) -> QPoly:
     """Crossing distribution of S_n(patterns) by formula, no enumeration.
 
-    Supported: every two-element subset of the length-3 patterns except
-    {213,132} (recurrence only, see dist_213_132), plus the single
-    patterns 321, 132, 213 (Catalan distribution C_n(1,q)).  Anything
-    else raises, pointing the caller at the enumerator.
+    Supported: the classes of CLOSED_FORMS, every pair of length-3 patterns
+    but {213,132} and the singles 321, 132, 213 (C_n(1,q), Catalan).  Any
+    other class raises; `enumeration.crs_route` names the route of each.
 
     >>> closed_form([(1, 2, 3)], 4)  # doctest: +ELLIPSIS
     Traceback (most recent call last):
@@ -753,18 +754,17 @@ def closed_form(patterns: Iterable[Sequence[int]], n: int) -> QPoly:
     """
     if n < 0:
         raise ValueError(f"negative size: {n}")
-    key = frozenset(as_perm(p) for p in patterns)
-    if key in _CLOSED_FORMS:
-        return _CLOSED_FORMS[key](n)  # type: ignore[operator]
-    if len(key) == 1 and next(iter(key)) in _CATALAN_CLASSES:
-        return catalan_crs(n)
-    raise ValueError(
-        f"no closed form for {{{fmt_patterns(sorted(key))}}}; use the enumerator "
-        f"(or dist_213_132 for that pair)"
-    )
+    key = pattern_set(patterns)
+    if key not in CLOSED_FORMS:
+        raise ValueError(
+            f"no closed form for {{{fmt_patterns(key)}}}; use the enumerator "
+            f"(or dist_213_132 for that pair)"
+        )
+    return CLOSED_FORMS[key](n)
 
 
 __all__ = [
+    "CLOSED_FORMS",
     "MultiPoly",
     "QPoly",
     "Series",

@@ -7,7 +7,10 @@ criterion.  Where a runtime budget is stated it is asserted, not just hoped.
 import ast
 import itertools
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 from collections import Counter
 
@@ -222,11 +225,21 @@ def test_criterion_10_symmetry_and_decomposition():
 
 
 def test_criterion_11_check_all_reports_are_byte_identical(capsys):
-    assert cli.run(["check", "all", "--json"]) == 0
-    first = capsys.readouterr().out
-    assert cli.run(["check", "all", "--json"]) == 0
-    second = capsys.readouterr().out
-    assert first == second
+    # a second process, under python -O and another hash seed, runs
+    # alongside the two in-process runs
+    env = dict(os.environ, PYTHONHASHSEED="2718",
+               PYTHONPATH=str(pathlib.Path(crossperm.__file__).parents[1]))
+    with subprocess.Popen(
+        [sys.executable, "-O", "-m", "crossperm", "check", "all", "--json"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    ) as other:
+        assert cli.run(["check", "all", "--json"]) == 0
+        first = capsys.readouterr().out
+        assert cli.run(["check", "all", "--json"]) == 0
+        second = capsys.readouterr().out
+        out, err = other.communicate(timeout=300)
+    assert other.returncode == 0, err
+    assert first == second == out
     report = json.loads(first)
     assert all(c["status"] == "pass" for c in report["checks"])
     assert len(report["checks"]) == 44

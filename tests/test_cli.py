@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from crossperm import cli
+from crossperm import cli, qseries
 
 
 def run_ok(capsys, argv):
@@ -196,6 +197,17 @@ def test_dist_timings_opt_in(capsys):
         run_ok(capsys, ["dist", "3", "321", "crs", "--json", "--timings"])
     )
     assert "millis" in payload
+
+
+def test_dist_with_a_formula_is_fast_from_a_cold_cache(capsys):
+    # the route answers from C_n(1,q); walking S_16(321) would take minutes
+    for argv, head in ((["dist", "16", "321", "crs"], "32768 + "),
+                       (["dist", "20", "132", "crs"], "524288 + ")):
+        qseries.catalan_qp.cache_clear()
+        start = time.perf_counter()
+        out = run_ok(capsys, argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert out.startswith(head)
 
 
 def test_series_closed_form_source(capsys):

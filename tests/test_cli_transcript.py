@@ -75,6 +75,9 @@ INVOCATIONS = [
     ["dist", "5", "321", "crs", "--refine", "one-at"],
     ["dist", "5", "321", "crs", "--refine", "one-at", "--k", "2", "--j", "9", "--json"],
     ["dist", "-1", "321", "crs"],
+    ["dist", "12", "213,132", "crs", "--json"],
+    ["dist", "7", "123,321", "crs", "--json"],
+    ["dist", "0", "321", "crs"],
     ["series", "321,231", "--order", "4"],
     ["series", "321,231", "--order", "3", "--json"],
     ["series", "321,321", "--order", "2", "--json"],

@@ -139,7 +139,6 @@ def test_distribution_crs_on_321_avoiders():
         result = distribution(DistributionQuery(n=n, patterns=((3, 2, 1),)))
         assert result.polynomial == catalan_crs(n)
         assert result.count == comb(2 * n, n) // (n + 1)
-        assert result.millis >= 0.0
 
 
 def test_distribution_other_statistics():
@@ -497,6 +496,44 @@ def test_refinements_of_a_class_share_one_walk(walks):
     assert sum(counts["one-at"]) == sum(counts["last"]) == total == 42
     assert counts["tail"] == [1, 0, 0, 0, 0]  # 23451 alone ends in 1
     assert walks == {(5, pats): 1}
+
+
+# ---------------------------------------------------------------------------
+# the crossing-distribution route
+
+
+def _expected_source(pats):
+    # the paper's list of solved classes, written out apart from qseries
+    if set(pats) == {(1, 3, 2), (2, 1, 3)}:
+        return "recurrence"
+    if len(pats) == 2 or (len(pats) == 1 and pats[0] in ((1, 3, 2), (2, 1, 3), (3, 2, 1))):
+        return "closed-form"
+    return "enumeration"
+
+
+def test_crs_route_names_its_source_and_agrees_with_the_tally():
+    patterns3 = list(itertools.permutations((1, 2, 3)))
+    sources = Counter()
+    for size in range(len(patterns3) + 1):
+        for subset in itertools.combinations(patterns3, size):
+            source, at = enumeration.crs_route(subset[::-1])
+            assert source == _expected_source(subset), subset
+            sources[source] += 1
+            for n in range(10 if subset else 9):
+                assert at(n) == enumeration._crs(n, subset), (subset, n)
+    assert sources == {"closed-form": 17, "recurrence": 1, "enumeration": 46}
+
+
+def test_check_suites_never_ask_the_route(monkeypatch):
+    # the suites check the formulas against the tally, so the route that
+    # picks a formula must not stand in for either side
+    def refuse(patterns):
+        raise AssertionError(f"a check asked crs_route({patterns})")
+
+    monkeypatch.setattr(enumeration, "crs_route", refuse)
+    report = verify("all", 5)
+    assert len(report["checks"]) == 44
+    assert all(c["status"] == "pass" for c in report["checks"])
 
 
 def test_verify_unknown_suite():
