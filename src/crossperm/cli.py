@@ -158,10 +158,7 @@ def _cmd_dist(args) -> int:
         j=args.j,
     )
     start = time.perf_counter()
-    if query.statistic == "crs" and query.refinement == "none":
-        poly = enumeration.crs_route(query.patterns)[1](query.n)
-    else:
-        poly = enumeration.distribution(query).polynomial
+    _, poly = enumeration.route(query)
     millis = (time.perf_counter() - start) * 1000.0
     payload = {
         **dataclasses.asdict(query),  # n, patterns, statistic, refinement, k, j
@@ -180,16 +177,16 @@ def _cmd_series(args) -> int:
     patterns = perms.pattern_set(parse_patterns(args.patterns))
     if args.order < 0:
         raise ParseError(f"negative order: {args.order}")
-    source, at = enumeration.crs_route(patterns)
-    coeffs = [at(m) for m in range(args.order + 1)]
+    sources, coeffs = zip(*(enumeration.route(enumeration.DistributionQuery(m, patterns))
+                            for m in range(args.order + 1)))
     payload = {
         "patterns": [list(p) for p in patterns],
         "order": args.order,
-        "source": source,
+        "source": sources[0],
         "coefficients": [c.json_coeffs() for c in coeffs],
     }
     _emit(args, payload, [
-        f"source = {source}",
+        f"source = {sources[0]}",
         *(f"z^{m}: {c.text()}" for m, c in enumerate(coeffs)),
     ])
     return 0
@@ -207,8 +204,9 @@ def _table_rows(name: str, n_max: int) -> list[list[str]]:
         ]
     if name in ("a076791", "a299927"):
         pats = ((3, 2, 1), (2, 3, 1)) if name == "a076791" else ((1, 2, 3), (1, 3, 2))
-        _, at = enumeration.crs_route(pats)
-        return [[str(c) for c in at(n).json_coeffs()] for n in range(n_max + 1)]
+        polys = (enumeration.route(enumeration.DistributionQuery(n, pats))[1]
+                 for n in range(n_max + 1))
+        return [[str(c) for c in poly.json_coeffs()] for poly in polys]
     # pascal-corok: rows of (1+q)^(n-2), the refined corner distribution
     rows = []
     for n in range(2, n_max + 1):

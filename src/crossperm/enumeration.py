@@ -15,10 +15,10 @@ the tally: `distribution` keeps the keys that its query accepts,
 `joint_distribution` drops the three columns, and the crossing
 distributions of the check suites are `distribution`'s (`_crs`).
 
-`crs_route` alone names how a class's crossing distribution is computed:
-"closed-form" (`qseries.CLOSED_FORMS`), "recurrence" ({132,213}) or
-"enumeration" (the tally).  The command line asks it; the check suites
-never do, since they compare those formulas with the tally.
+`route(query)` alone picks how a query is answered: "closed-form"
+(`qseries.CLOSED_FORMS`) or "recurrence" ({132,213}) for an unrefined crs
+query, else "enumeration" (`distribution`).  The command line holds no
+route condition; the check suites never ask, as they check those formulas.
 
 A check is one decorated function that names its suite, its name, its
 default cap and its first n.  One driver (`_each_n`) scans n = start..cap
@@ -241,19 +241,20 @@ _AVOID321 = ((3, 2, 1),)
 _PAIR_132_213 = ((1, 3, 2), (2, 1, 3))
 
 
-def crs_route(patterns: Iterable[Sequence[int]]) -> tuple[str, Callable[[int], QPoly]]:
-    """(source, fn): fn(n) is the crossing distribution of S_n(patterns).
+def route(query: DistributionQuery) -> tuple[str, QPoly]:
+    """(source, polynomial): the query's distribution and the route that gave it.
 
-    >>> [crs_route(t)[0] for t in ([(3, 2, 1)], [(2, 1, 3), (1, 3, 2)], [])]
+    >>> [route(DistributionQuery(4, t))[0]
+    ...  for t in ([(3, 2, 1)], [(2, 1, 3), (1, 3, 2)], [])]
     ['closed-form', 'recurrence', 'enumeration']
     """
-    pats = perms.pattern_set(patterns)
-    # qseries is read when fn runs, so a wrapped formula is the one that runs
-    if pats in qseries.CLOSED_FORMS:
-        return "closed-form", lambda n: qseries.closed_form(pats, n)
-    if pats == _PAIR_132_213:
-        return "recurrence", lambda n: qseries.dist_213_132(n)
-    return "enumeration", lambda n: _crs(n, pats)
+    if query.statistic == "crs" and query.refinement == "none":
+        # qseries is read at call time, so a wrapped formula is the one that runs
+        if query.patterns in qseries.CLOSED_FORMS:
+            return "closed-form", qseries.closed_form(query.patterns, query.n)
+        if query.patterns == _PAIR_132_213:
+            return "recurrence", qseries.dist_213_132(query.n)
+    return "enumeration", distribution(query).polynomial
 
 
 # ---------------------------------------------------------------------------
@@ -933,10 +934,10 @@ __all__ = [
     "DistributionResult",
     "REFINEMENTS",
     "STATISTICS",
-    "crs_route",
     "distribution",
     "generate",
     "joint_distribution",
+    "route",
     "suite_names",
     "verify",
 ]

@@ -190,6 +190,8 @@ class MultiPoly(_Ring):
 
     def __init__(self, variables: Sequence[str], terms: Mapping[tuple[int, ...], int]) -> None:
         self.variables = tuple(variables)
+        if len(set(self.variables)) != len(self.variables):
+            raise ValueError(f"repeated variable name in {self.variables}")
         for key in terms:
             if len(key) != len(self.variables):
                 raise ValueError(f"exponent tuple {key} does not match {self.variables}")
@@ -310,6 +312,8 @@ class Series:
 
     @classmethod
     def of(cls, coeffs: Sequence, order: int) -> "Series":
+        if order < 0:
+            raise ValueError(f"negative order: {order}")
         cs = list(coeffs)[: order + 1]
         cs += [0] * (order + 1 - len(cs))
         return cls(cs)
@@ -372,8 +376,6 @@ def cf_series(ladder: Sequence, order: int) -> Series:
     len(ladder) with tail 1 is exact as long as the ladder is deep enough.
     """
     rungs = list(ladder)
-    if order < 0:
-        raise ValueError(f"negative order: {order}")
     if len(rungs) < order:
         raise ValueError(
             f"ladder depth {len(rungs)} cannot determine coefficients up to "
@@ -740,26 +742,23 @@ def closed_form(patterns: Iterable[Sequence[int]], n: int) -> QPoly:
     """Crossing distribution of S_n(patterns) by formula, no enumeration.
 
     Supported: the classes of CLOSED_FORMS, every pair of length-3 patterns
-    but {213,132} and the singles 321, 132, 213 (C_n(1,q), Catalan).  Any
-    other class raises; `enumeration.crs_route` names the route of each.
+    but {213,132} and the singles 321, 132, 213 (C_n(1,q), Catalan).  Other
+    classes raise: `enumeration.route(query)`, not the CLI, picks the route.
 
-    >>> closed_form([(1, 2, 3)], 4)  # doctest: +ELLIPSIS
+    >>> closed_form([(1, 2, 3)], 4)
     Traceback (most recent call last):
         ...
-    ValueError: no closed form for {123}; use the enumerator ...
-    >>> closed_form([], 4)  # doctest: +ELLIPSIS
+    ValueError: no closed form for {123}
+    >>> closed_form([], 4)
     Traceback (most recent call last):
         ...
-    ValueError: no closed form for {(none)}; use the enumerator ...
+    ValueError: no closed form for {(none)}
     """
     if n < 0:
         raise ValueError(f"negative size: {n}")
     key = pattern_set(patterns)
     if key not in CLOSED_FORMS:
-        raise ValueError(
-            f"no closed form for {{{fmt_patterns(key)}}}; use the enumerator "
-            f"(or dist_213_132 for that pair)"
-        )
+        raise ValueError(f"no closed form for {{{fmt_patterns(key)}}}")
     return CLOSED_FORMS[key](n)
 
 

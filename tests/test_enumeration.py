@@ -252,6 +252,9 @@ def test_joint_distribution_validation():
         joint_distribution(3, (), ("bogus",))
     with pytest.raises(ValueError, match="^unknown statistic: 'bogus'$"):
         joint_distribution(3, (), ("crs", "bogus"), variables=("x", "y"))
+    # one name for two statistics would print two terms as one
+    with pytest.raises(ValueError, match="repeated variable name"):
+        joint_distribution(3, (), ["crs", "nes"], variables=("q", "q"))
     # the tally's private columns are not statistics
     for private in ("one", "last", "tail"):
         with pytest.raises(ValueError, match=f"^unknown statistic: '{private}'$"):
@@ -511,26 +514,55 @@ def _expected_source(pats):
     return "enumeration"
 
 
-def test_crs_route_names_its_source_and_agrees_with_the_tally():
+def test_route_names_its_source_and_agrees_with_the_tally():
     patterns3 = list(itertools.permutations((1, 2, 3)))
     sources = Counter()
     for size in range(len(patterns3) + 1):
         for subset in itertools.combinations(patterns3, size):
-            source, at = enumeration.crs_route(subset[::-1])
-            assert source == _expected_source(subset), subset
-            sources[source] += 1
-            for n in range(10 if subset else 9):
-                assert at(n) == enumeration._crs(n, subset), (subset, n)
+            answers = [
+                enumeration.route(DistributionQuery(n, subset[::-1]))
+                for n in range(10 if subset else 9)
+            ]
+            assert {source for source, _ in answers} == {_expected_source(subset)}, subset
+            sources[answers[0][0]] += 1
+            for n, (_, poly) in enumerate(answers):
+                assert poly == enumeration._crs(n, subset), (subset, n)
     assert sources == {"closed-form": 17, "recurrence": 1, "enumeration": 46}
+
+
+def _refined_queries(n, patterns, statistic):
+    yield DistributionQuery(n, patterns, statistic)
+    for k in range(1, n + 1):
+        for refinement in ("one-at", "last", "tail"):
+            yield DistributionQuery(n, patterns, statistic, refinement, k)
+        for j in range(1, n + 1):
+            yield DistributionQuery(n, patterns, statistic, "both", k, j)
+
+
+def test_route_answers_every_query_as_the_tally_does():
+    # only an unrefined crs query has a formula route; every answer, by
+    # whichever route, is the tally's polynomial
+    classes = (((3, 2, 1),), ((1, 3, 2), (2, 1, 3)), ((1, 2, 3), (1, 3, 2)), ())
+    refinements = set()
+    for patterns in classes:
+        for statistic in ("crs", "inv", "maj"):
+            for n in range(8):
+                for query in _refined_queries(n, patterns, statistic):
+                    source, poly = enumeration.route(query)
+                    assert poly == distribution(query).polynomial, query
+                    if statistic != "crs" or query.refinement != "none":
+                        assert source == "enumeration", query
+                    refinements.add(query.refinement)
+    assert refinements == set(enumeration.REFINEMENTS)
 
 
 def test_check_suites_never_ask_the_route(monkeypatch):
     # the suites check the formulas against the tally, so the route that
     # picks a formula must not stand in for either side
-    def refuse(patterns):
-        raise AssertionError(f"a check asked crs_route({patterns})")
+    def refuse(query):
+        raise AssertionError(f"a check asked route({query})")
 
-    monkeypatch.setattr(enumeration, "crs_route", refuse)
+    monkeypatch.setattr(enumeration, "route", refuse)
     report = verify("all", 5)
     assert len(report["checks"]) == 44
     assert all(c["status"] == "pass" for c in report["checks"])

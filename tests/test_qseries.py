@@ -159,6 +159,12 @@ def test_multipoly_rejects_mismatches():
         MultiPoly(("x", "y"), {(1,): 1})
     with pytest.raises(ValueError, match="does not match"):
         MultiPoly(("x", "y"), {(0, 0): 1, (1, 0, 0): 0})
+    # a repeated name would print two terms as one, and var("q") could not
+    # tell them apart
+    with pytest.raises(ValueError, match=r"repeated variable name in \('q', 'q'\)"):
+        MultiPoly(("q", "q"), {(0, 0): 4, (1, 0): 1, (0, 1): 1})
+    with pytest.raises(ValueError, match="repeated variable name"):
+        MultiPoly.var(("x", "q", "x"), "q")
 
 
 def test_multipoly_eval_poly():
@@ -201,6 +207,15 @@ def test_series_arithmetic_and_division():
 def test_rational_series_geometric():
     s = rational_series([1], [1, -1], order=5)
     assert s.coeffs == (1, 1, 1, 1, 1, 1)
+
+
+def test_series_rejects_a_negative_order():
+    with pytest.raises(ValueError, match=r"^negative order: -2$"):
+        Series.of([1], -2)
+    with pytest.raises(ValueError, match=r"^negative order: -1$"):
+        rational_series([1], [1, -1], -1)
+    with pytest.raises(ValueError, match=r"^negative order: -1$"):
+        cf_series([1], -1)
 
 
 def test_cf_series_all_ones_gives_catalan():
